@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import eta
-from .dissect import VerificationReport, compare_series
+from .dissect import VerificationReport, compare_series, get_record
 from .series import Series, ZZ
 
 
@@ -109,26 +109,14 @@ def verify_param_identities(p: ParamPair, precision: int) -> list[VerificationRe
     return reports
 
 
-# coefficient, q-power shift, eta exponents of the four obstruction terms
-_L_TERMS = (
-    (-1, 0, {2: 4, 3: 8, 1: -2, 4: -2, 6: -1}),
-    (8, 1, {2: 1, 4: 1, 6: 8, 1: -2, 12: -1}),
-    (1, 0, {2: 10, 3: 4, 6: 5, 1: -6, 4: -4, 12: -2}),
-    (4, 1, {2: 4, 3: 6, 12: 2, 1: -4, 6: -1}),
-)
-
-
 def compute_L(precision: int) -> Series:
-    """The obstruction combination, exactly over ZZ."""
+    """The obstruction combination, exactly over ZZ.
+
+    L is the left side of the catalog record "l-obstruction-mod16".
+    """
     if precision < 2:
         raise ValueError("precision must be at least 2")
-    total = Series.zero(ZZ, precision)
-    for coeff, shift, exponents in _L_TERMS:
-        piece = eta.expand_quotient(eta.EtaQuotient.of(exponents), precision, ZZ)
-        if shift:
-            piece = piece.mul_qpow(shift).truncate(precision)
-        total = total + coeff * piece
-    return total
+    return eta.expand_expression(get_record("l-obstruction-mod16").lhs, precision, ZZ)
 
 
 def verify_L_identity(precision: int) -> VerificationReport:

@@ -3,8 +3,7 @@ parameterization layers.
 
 Exit codes: 0 when the command ran and every check passed; 1 when at
 least one verification failed or a congruence was refuted; 2 on usage
-or input errors. Output is deterministic for identical invocations
-regardless of thread count.
+or input errors. Identical invocations print identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class Config:
     precision: int = 500
     table_size: int = 40_000
     output: str = "text"
-    threads: int = 1
     cache_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -35,8 +33,6 @@ class Config:
             raise ValueError("table size must be positive")
         if self.output not in ("text", "json"):
             raise ValueError("output must be 'text' or 'json'")
-        if self.threads < 0:
-            raise ValueError("threads must be nonnegative (0 = auto)")
 
 
 def _config(args: argparse.Namespace) -> Config:
@@ -45,7 +41,6 @@ def _config(args: argparse.Namespace) -> Config:
         precision=500 if precision is None else precision,
         table_size=getattr(args, "table_size", 40_000),
         output="json" if getattr(args, "json", False) else "text",
-        threads=getattr(args, "threads", 1),
         # the environment variable wins over the flag
         cache_path=os.environ.get(schur.CACHE_ENV) or getattr(args, "cache", None),
     )
@@ -131,8 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     records = dissect.load_catalog() if args.all else tuple(
         dissect.get_record(name) for name in args.ids
     )
-    workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-    reports = dissect.verify_catalog(records, args.precision, threads=workers)
+    reports = dissect.verify_catalog(records, args.precision)
     return _emit_reports(reports, cfg.output == "json")
 
 
@@ -146,10 +140,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if not moduli:
         raise ValueError("at least one modulus is required")
     table = _residue_table_for(cfg, lcm(*moduli))
-    results = congruences.scan(
-        args.max_a, moduli, table, args.min_support,
-        threads=cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1),
-    )
+    results = congruences.scan(args.max_a, moduli, table, args.min_support)
     out = congruences.scan_to_json(results)
     if out:
         print(out)
@@ -275,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--precision", type=int, default=None,
                    help="override the per-record default precision")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = add("scan", cmd_scan, "scan for vanishing arithmetic progressions")
@@ -284,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-size", dest="table_size", type=int, default=40_000)
     p.add_argument("--min-support", dest="min_support", type=int,
                    default=congruences.MIN_SUPPORT_FLOOR)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("family", cmd_family, "check the infinite mod-16 progression family")
     p.add_argument("--alpha-max", dest="alpha_max", type=int, default=4)

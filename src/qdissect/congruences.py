@@ -7,15 +7,14 @@ only ever means "holds so far" up to the largest testable index; a
 failing one pins the exact index of the counterexample.
 
 The scanner reproduces the search protocol at desk scale: it reduces the
-table mod the lcm of the requested moduli once, then walks every
-progression with enough testable terms.
+table mod the lcm of the requested moduli once, then tests all offsets
+of each step A in one vectorised pass and keeps every progression with
+enough testable terms.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import lcm
 
@@ -249,13 +248,11 @@ def scan(
     moduli,
     table,
     min_support: int = MIN_SUPPORT_FLOOR,
-    threads: int = 1,
 ) -> list[CongruenceTriple]:
     """Every (A, B, M) with A <= max_a holding throughout the table.
 
     Only progressions with at least min_support testable indices are
-    reported. Results are sorted by (M descending, A, B) and do not
-    depend on the thread count.
+    reported. Results are sorted by (M descending, A, B).
     """
     mods = sorted({int(m) for m in moduli})
     if not mods:
@@ -268,28 +265,19 @@ def scan(
         raise ValueError("max_a must be positive")
 
     base = table.residues(lcm(*mods))
-    masks = [(m, base % m == 0) for m in mods]
-
-    def survivors_for(a: int) -> list[CongruenceTriple]:
-        found = []
-        for m, mask in masks:
-            # a progression must already vanish at n = 0
-            for b in np.flatnonzero(mask[:a]):
-                picked = mask[b::a]
-                if picked.size >= min_support and bool(picked.all()):
-                    found.append(
-                        CongruenceTriple(a, int(b), m, tested_to=picked.size - 1)
-                    )
-        return found
-
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    a_range = range(1, max_a + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_a = list(pool.map(survivors_for, a_range))
-    else:
-        per_a = [survivors_for(a) for a in a_range]
-    results = [t for chunk in per_a for t in chunk]
+    n = len(base)
+    results = []
+    for m in mods:
+        mask = base % m == 0
+        for a in range(1, max_a + 1):
+            # column b of the k-by-a block holds indices b, b+a, ...; the
+            # first rem columns have one more index in the tail
+            k, rem = divmod(n, a)
+            ok = mask[: k * a].reshape(k, a).all(axis=0)
+            ok[:rem] &= mask[k * a :]
+            support = k + (np.arange(a) < rem)
+            for b in np.flatnonzero(ok & (support >= min_support)):
+                results.append(CongruenceTriple(a, int(b), m, tested_to=int(support[b]) - 1))
     results.sort(key=lambda t: (-t.M, t.A, t.B))
     return results
 

@@ -11,12 +11,9 @@ from the recipe up front and never truncated silently.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-
-import numpy as np
 
 from . import eta, schur
 from .series import Series, RingSpec, ZZ, mod_ring
@@ -107,42 +104,30 @@ def compare_series(a: Series, b: Series) -> Mismatch | None:
 
 
 class RootProvider:
-    """Serves named root series, growing cached tables as needed.
+    """Serves named root series.
 
-    "S" is the overpartition count series; exact requests come from the
-    prefix-sum table, residue requests from the mod-256 byte table when
-    the modulus divides 256 (all catalog moduli do). "negq" is the
-    alternating-sign Euler product, a sign flip of the f1 expansion.
+    "S" is the overpartition count series: exact requests come from the
+    prefix-sum table, which the provider keeps and grows as needed;
+    residue requests come from `schur.residue_table`, which serves every
+    divisor of 256 (all catalog moduli) from one cached mod-256 table.
+    "negq" is the alternating-sign Euler product, a sign flip of the f1
+    expansion.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._exact: tuple[int, ...] = ()
-        self._bytes = np.zeros(0, dtype=np.uint8)
 
     def _exact_values(self, n: int) -> tuple[int, ...]:
-        with self._lock:
-            if len(self._exact) < n:
-                self._exact = schur.s_series(n).values
-            return self._exact[:n]
-
-    def _byte_values(self, n: int) -> np.ndarray:
-        with self._lock:
-            if len(self._bytes) < n:
-                self._bytes = schur.residue_table(n, 256).values
-            return self._bytes[:n]
+        if len(self._exact) < n:
+            self._exact = schur.s_series(n).values
+        return self._exact[:n]
 
     def series(self, name: str, ring: RingSpec, precision: int) -> Series:
         if name == "S":
             if ring.exact:
                 return Series(ZZ, self._exact_values(precision))
-            m = ring.modulus
-            if 256 % m == 0:
-                vals = self._byte_values(precision)
-                if m < 256:
-                    vals = vals % np.uint8(m)
-                return Series(ring, tuple(int(v) for v in vals))
-            return Series(ring, tuple(int(v) for v in schur.residue_table(precision, m).values))
+            values = schur.residue_table(precision, ring.modulus).values
+            return Series(ring, tuple(values.tolist()))
         if name == "negq":
             base = eta.expand_eta(1, precision, ring)
             norm = ring.normalize
@@ -264,19 +249,15 @@ def verify_catalog(
     records=None,
     precision: int | None = None,
     provider: RootProvider | None = None,
-    threads: int = 1,
 ) -> list[VerificationReport]:
-    """Verify records (default: whole catalog) in catalog order.
-
-    The report order never depends on the thread count.
-    """
+    """Verify records (default: whole catalog), reporting in catalog order."""
     if records is None:
         records = load_catalog()
     provider = provider or _shared_provider
-    # Warm the shared root tables to the largest size any record needs, so
-    # parallel workers never race to build overlapping tables.
+    # Build each root table once at the largest size any record needs, so
+    # smaller needs are served by slicing instead of by rebuilding.
     warm_exact = 0
-    warm_bytes = 0
+    warm_residue = 0
     for rec in records:
         if isinstance(rec.lhs, RootRecipe) and rec.lhs.root == "S":
             need = required_root_precision(
@@ -285,17 +266,9 @@ def verify_catalog(
             if rec.exact:
                 warm_exact = max(warm_exact, need)
             else:
-                warm_bytes = max(warm_bytes, need)
+                warm_residue = max(warm_residue, need)
     if warm_exact:
         provider._exact_values(warm_exact)
-    if warm_bytes:
-        provider._byte_values(warm_bytes)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda r: verify_identity(r, precision, provider), records)
-            )
+    if warm_residue:
+        schur.residue_table(warm_residue, 256)
     return [verify_identity(rec, precision, provider) for rec in records]

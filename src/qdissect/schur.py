@@ -4,8 +4,9 @@ S(n) counts partitions of n into parts congruent to 0, 1 or 5 mod 6
 (equivalently, the Schur-type overpartitions counted by the gap-matrix
 oracle below). The primary computation is the Euler product prefix-sum
 update, run once per admissible part size; slices and itertools keep the
-inner loops at C speed, and a numpy variant produces residue tables for
-congruence work at large lengths.
+inner loops at C speed. The same update in fixed-width numpy integers
+produces residue tables for congruence work at large lengths; tables
+for divisors of 256 are slices of one cached mod-256 table.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from math import isqrt
 from operator import add
 
 import numpy as np
@@ -102,55 +104,62 @@ def s_series(precision: int, cache_path: str | None = None) -> SchurSeries:
     return table
 
 
-@lru_cache(maxsize=4)
-def _byte_table(precision: int) -> np.ndarray:
-    # S(n) mod 256: uint8 wraparound is exactly arithmetic mod 256
-    v = np.zeros(precision, dtype=np.uint8)
+def _euler_residues(precision: int, m: int) -> np.ndarray:
+    """S(n) mod m by the Euler prefix-sum update in fixed-width integers.
+
+    For m == 256 the update runs in uint8, whose wraparound is exact
+    arithmetic mod 256. Any other modulus runs in uint64 and reduces
+    after every step: `%= m` after a strided cumsum, and a conditional
+    subtract after a block add, whose two terms are both below m.
+    """
+    wrap = m == 256
+    dtype = np.uint8 if wrap else np.uint64
+    mm = np.uint64(m)
+    v = np.zeros(precision, dtype=dtype)
     v[0] = 1
-    split = int(precision**0.5)
+    split = isqrt(precision)
     for j in range(1, precision):
         if not _is_part(j):
             continue
-        if j <= split:
+        # a strided column holds at most precision // j + 1 terms below m,
+        # so its running sum must fit in 64 bits
+        if j <= split and (wrap or (precision // j + 1) * (m - 1) < 1 << 64):
             for r in range(j):
                 w = v[r::j]
-                np.cumsum(w, dtype=np.uint8, out=w)
+                np.cumsum(w, dtype=dtype, out=w)
+                if not wrap:
+                    w %= mm
         else:
             for s in range(j, precision, j):
                 e = min(s + j, precision)
-                np.add(v[s:e], v[s - j : e - j], out=v[s:e])
-    v.setflags(write=False)
+                w = v[s:e]
+                np.add(w, v[s - j : e - j], out=w)
+                if not wrap:
+                    np.minimum(w, w - mm, out=w)
     return v
 
 
-def _euler_mod(precision: int, m: int) -> np.ndarray:
-    # general modulus: uint64 with a conditional subtract after each add
-    v = np.zeros(precision, dtype=np.uint64)
-    v[0] = 1
-    mm = np.uint64(m)
-    for j in range(1, precision):
-        if not _is_part(j):
-            continue
-        for s in range(j, precision, j):
-            e = min(s + j, precision)
-            w = v[s:e]
-            np.add(w, v[s - j : e - j], out=w)
-            w[w >= mm] -= mm
-    return v
+# S(n) mod 256, grown on demand and never written in place; every request
+# for a divisor of 256 is served by slicing it
+_byte_cache = np.zeros(0, dtype=np.uint8)
 
 
 def residue_table(precision: int, m: int) -> ResidueTable:
     """S(n) mod m for n < precision, without big-integer arithmetic."""
+    global _byte_cache
     if precision < 1:
         raise ValueError("precision must be at least 1")
     if m < 2:
         raise ValueError("modulus must be at least 2")
     if 256 % m == 0:
-        vals = _byte_table(precision) % np.uint8(m) if m < 256 else _byte_table(precision)
-        return ResidueTable(vals, m)
+        if len(_byte_cache) < precision:
+            _byte_cache = _euler_residues(precision, 256)
+            _byte_cache.setflags(write=False)
+        vals = _byte_cache[:precision]
+        return ResidueTable(vals % np.uint8(m) if m < 256 else vals, m)
     if m >= 1 << 62:
         raise ValueError("residue tables support moduli below 2^62")
-    return ResidueTable(_euler_mod(precision, m), m)
+    return ResidueTable(_euler_residues(precision, m), m)
 
 
 def save_table(path: str, table: SchurSeries) -> None:
@@ -172,17 +181,20 @@ def load_table(path: str) -> SchurSeries:
     if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise ValueError(f"{path}: not a table cache (bad magic)")
     off = len(CACHE_MAGIC)
-    (count,) = struct.unpack_from("<Q", data, off)
-    off += 8
     values = []
-    for _ in range(count):
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        mag = int.from_bytes(data[off : off + n], "little")
-        off += n
-        sign = data[off]
-        off += 1
-        values.append(-mag if sign else mag)
+    try:
+        (count,) = struct.unpack_from("<Q", data, off)
+        off += 8
+        for _ in range(count):
+            (n,) = struct.unpack_from("<I", data, off)
+            off += 4
+            mag = int.from_bytes(data[off : off + n], "little")
+            off += n
+            sign = data[off]
+            off += 1
+            values.append(-mag if sign else mag)
+    except (struct.error, IndexError):
+        raise ValueError(f"{path}: truncated table cache") from None
     if off != len(data):
         raise ValueError(f"{path}: trailing bytes in table cache")
     return SchurSeries(tuple(values))

@@ -9,8 +9,6 @@ from qdissect.aaw import (
     verify_L_identity,
     verify_param_identities,
 )
-from qdissect.dissect import get_record
-from qdissect.eta import expand_expression
 from qdissect.series import Series, ZZ
 
 
@@ -73,13 +71,6 @@ def test_obstruction_series_divisible_by_16():
     L = compute_L(128)
     assert L[0] == 0
     assert all(c % 16 == 0 for c in L.coeffs)
-
-
-def test_obstruction_matches_catalog_expression():
-    n = 64
-    rec = get_record("l-obstruction-mod16")
-    catalog_form = expand_expression(rec.lhs, n, ZZ)
-    assert compute_L(n).coeffs == catalog_form.coeffs
 
 
 def test_product_identity():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -26,8 +27,6 @@ def test_config_validation():
         Config(table_size=0)
     with pytest.raises(ValueError):
         Config(output="yaml")
-    with pytest.raises(ValueError):
-        Config(threads=-1)
 
 
 def test_expand_example(capsys):
@@ -115,11 +114,11 @@ def test_verify_requires_ids_or_all(capsys):
 def test_scan_json_lines_and_determinism(capsys):
     args = ("scan", "--max-a", "32", "--moduli", "8,16",
             "--table-size", "4000", "--min-support", "50")
-    code, out1, _ = run(capsys, *args, "--threads", "1")
+    code, out1, _ = run(capsys, *args)
     assert code == 0
-    code, out4, _ = run(capsys, *args, "--threads", "4")
+    code, out2, _ = run(capsys, *args)
     assert code == 0
-    assert out1 == out4
+    assert out1 == out2
     rows = [json.loads(line) for line in out1.strip().splitlines()]
     assert {"A": 32, "B": 31, "M": 16, "tested_to": 124, "support": 125,
             "status": "holds-so-far"} in rows
@@ -229,6 +228,20 @@ def test_cache_env_wins_over_flag(capsys, tmp_path, monkeypatch):
     assert code == 0
     import os
     assert not os.path.exists(flag_path)  # env cache served the request
+
+
+def test_dump_table_truncated_cache_exits_2(capsys, tmp_path, monkeypatch):
+    from qdissect import schur
+    monkeypatch.delenv(schur.CACHE_ENV, raising=False)
+    path = tmp_path / "bad.bin"
+    schur.save_table(str(path), schur.s_series(40))
+    whole = path.read_bytes()
+    header = len(schur.CACHE_MAGIC) + 8
+    huge_count = schur.CACHE_MAGIC + struct.pack("<Q", 2**64 - 1) + whole[header:30]
+    for payload in (whole[:50], huge_count):
+        path.write_bytes(payload)
+        code, out, err = run(capsys, "dump-table", "--table-size", "30", "--cache", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: truncated table cache\n")
 
 
 def test_usage_error_exits_2(capsys):

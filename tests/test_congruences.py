@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from qdissect import congruences as cong
 from qdissect.congruences import (
+    MIN_SUPPORT_FLOOR,
     CongruenceTriple,
     FamilySpec,
     InternalCongruence,
@@ -14,6 +16,7 @@ from qdissect.congruences import (
     scan_to_json,
     verify_family,
 )
+from qdissect.schur import ResidueTable
 
 
 def test_triple_validation():
@@ -157,10 +160,33 @@ def test_scan_validation(residues4k):
         scan(0, [8], residues4k)
 
 
-def test_scan_threads_do_not_change_output(residues4k):
-    serial = scan_to_json(scan(48, [8, 16], residues4k, min_support=30, threads=1))
-    threaded = scan_to_json(scan(48, [8, 16], residues4k, min_support=30, threads=4))
-    assert serial == threaded
+def _triples_that_hold(max_a, moduli, table, min_support):
+    # the definition of a scan: every triple check_triple passes with
+    # enough support, in (M descending, A, B) order
+    found = []
+    for m in sorted(moduli, reverse=True):
+        for a in range(1, max_a + 1):
+            for b in range(min(a, table.precision)):
+                t = check_triple(CongruenceTriple(a, b, m), table)
+                if t.holds and t.support >= min_support:
+                    found.append(t)
+    return found
+
+
+def test_scan_matches_check_triple(residues4k):
+    assert scan(48, [8, 16], residues4k, min_support=30) == _triples_that_hold(
+        48, [8, 16], residues4k, 30
+    )
+
+
+def test_scan_tests_the_last_partial_row():
+    # only the final index is nonzero, so every progression through it fails
+    values = np.zeros(100, dtype=np.uint64)
+    values[99] = 1
+    table = ResidueTable(values, 2)
+    got = scan(8, [2], table)
+    assert got == _triples_that_hold(8, [2], table, MIN_SUPPORT_FLOOR)
+    assert (3, 0, 2) not in {(t.A, t.B, t.M) for t in got}
 
 
 def test_scan_to_json_lines(residues4k):

@@ -68,6 +68,24 @@ def test_schur_series_residues():
     assert list(r[:8]) == [v % 16 for v in FIRST_21[:8]]
 
 
+@pytest.mark.parametrize(
+    "m", [2, 3, 9, 16, 48, 256, 2**61 - 1, 2**62 - 57, 10**12 + 39]
+)
+def test_residue_table_matches_exact_table(exact5k, m):
+    # the large moduli push the uint64 regime to its overflow bound
+    got = schur.residue_table(5000, m)
+    assert got.values.tolist() == [exact5k[n] % m for n in range(5000)]
+
+
+def test_residue_table_slices_cached_byte_table():
+    big = schur.residue_table(3000, 256)
+    small = schur.residue_table(1000, 16)
+    assert not big.values.flags.writeable
+    fresh = schur._euler_residues(1000, 256)
+    assert big.values[:1000].tolist() == fresh.tolist()
+    assert small.values.tolist() == (fresh % 16).tolist()
+
+
 def test_residue_table_byte_path_vs_uint64_path():
     # 16 divides 256 so it takes the byte route; 48 forces the general one
     byte16 = schur.residue_table(600, 16)
@@ -92,6 +110,18 @@ def test_residue_table_validation():
         schur.residue_table(100, 1)
     with pytest.raises(ValueError):
         schur.residue_table(0, 8)
+
+
+def test_load_table_rejects_truncated_cache(tmp_path):
+    path = str(tmp_path / "table.bin")
+    schur.save_table(path, schur.s_series(120))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for cut in (len(schur.CACHE_MAGIC) + 3, 50, len(data) - 1):
+        with open(path, "wb") as fh:
+            fh.write(data[:cut])
+        with pytest.raises(ValueError, match="truncated table cache"):
+            schur.load_table(path)
 
 
 def test_cache_round_trip(tmp_path):

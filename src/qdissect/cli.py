@@ -37,12 +37,16 @@ class Config:
 
 def _config(args: argparse.Namespace) -> Config:
     precision = getattr(args, "precision", None)
+    flag_cache = getattr(args, "cache", None)
+    # the environment variable wins over the flag
+    env_cache = os.environ.get(schur.CACHE_ENV) or None
+    if env_cache and flag_cache and env_cache != flag_cache:
+        print(f"note: {schur.CACHE_ENV} overrides --cache; using {env_cache}", file=sys.stderr)
     return Config(
         precision=500 if precision is None else precision,
         table_size=getattr(args, "table_size", 40_000),
         output="json" if getattr(args, "json", False) else "text",
-        # the environment variable wins over the flag
-        cache_path=os.environ.get(schur.CACHE_ENV) or getattr(args, "cache", None),
+        cache_path=env_cache or flag_cache,
     )
 
 
@@ -130,16 +134,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _emit_reports(reports, cfg.output == "json")
 
 
-def _residue_table_for(cfg: Config, modulus: int):
-    return schur.residue_table(cfg.table_size, modulus)
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _config(args)
     moduli = sorted({int(m) for m in args.moduli.split(",") if m.strip()})
     if not moduli:
         raise ValueError("at least one modulus is required")
-    table = _residue_table_for(cfg, lcm(*moduli))
+    table = schur.residue_table(cfg.table_size, lcm(*moduli))
     results = congruences.scan(args.max_a, moduli, table, args.min_support)
     out = congruences.scan_to_json(results)
     if out:
@@ -149,7 +149,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_family(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = _residue_table_for(cfg, 16)
+    table = schur.residue_table(cfg.table_size, 16)
     checks = congruences.verify_family(args.alpha_max, table)
     ok = True
     for check in checks:
@@ -171,7 +171,7 @@ def cmd_family(args: argparse.Namespace) -> int:
 def cmd_internal(args: argparse.Namespace) -> int:
     cfg = _config(args)
     entries = congruences.INTERNAL_PROVED + congruences.INTERNAL_CONJECTURED
-    table = _residue_table_for(cfg, lcm(*(ic.M for ic in entries)))
+    table = schur.residue_table(cfg.table_size, lcm(*(ic.M for ic in entries)))
     ok = True
     for ic in entries:
         checked = congruences.check_internal(ic, table)
@@ -222,6 +222,8 @@ def cmd_dump_table(args: argparse.Namespace) -> int:
     cfg = _config(args)
     if args.save and args.mod is not None:
         raise ValueError("--save stores exact values; drop --mod")
+    if args.count is not None and args.count < 0:
+        raise ValueError("--count must be nonnegative")
     if args.mod is not None:
         table = schur.residue_table(cfg.table_size, args.mod)
     else:

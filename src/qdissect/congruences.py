@@ -20,6 +20,8 @@ from math import lcm
 
 import numpy as np
 
+from .series import Series
+
 HOLDS = "holds-so-far"
 
 # Minimum number of testable indices before a scan survivor is worth
@@ -143,43 +145,36 @@ INTERNAL_CONJECTURED: tuple[InternalCongruence, ...] = (
 )
 
 
-def check_triple(t: CongruenceTriple, table) -> CongruenceTriple:
+def _progression_mod(table: Series, start: int, step: int, m: int) -> tuple[int, ...]:
+    """table[start], table[start + step], ... reduced mod m (which must
+    divide the modulus of a residue table)."""
+    return Series(table.ring, table.coeffs[start::step]).reduce_mod(m).coeffs
+
+
+def check_triple(t: CongruenceTriple, table: Series) -> CongruenceTriple:
     """Test t against every index the table covers.
 
-    `table` is a SchurSeries or ResidueTable (anything with residues()
-    and precision). Returns a copy with tested_to set to the largest
-    testable n and refuted_at set to the first failing n, if any.
+    `table` is a count table over ZZ or over Z/m (M must divide m).
+    Returns a copy with tested_to set to the largest testable n and
+    refuted_at set to the first failing n, if any.
     """
-    vals = table.residues(t.M)
-    if t.B >= len(vals):
+    if t.B >= table.precision:
         raise ValueError(
-            f"table of {len(vals)} terms cannot test ({t.A}, {t.B}, {t.M}) even at n=0"
+            f"table of {table.precision} terms cannot test ({t.A}, {t.B}, {t.M}) even at n=0"
         )
-    picked = vals[t.B :: t.A]
-    bad = np.flatnonzero(picked)
-    return replace(
-        t,
-        tested_to=len(picked) - 1,
-        refuted_at=int(bad[0]) if bad.size else None,
-    )
+    picked = _progression_mod(table, t.B, t.A, t.M)
+    bad = (n for n, c in enumerate(picked) if c)
+    return replace(t, tested_to=len(picked) - 1, refuted_at=next(bad, None))
 
 
-def check_internal(ic: InternalCongruence, table) -> InternalCongruence:
+def check_internal(ic: InternalCongruence, table: Series) -> InternalCongruence:
     """Test an internal congruence for every N both progressions cover."""
-    vals = table.residues(ic.M)
-    n = len(vals)
-    if ic.b >= n or ic.d >= n:
-        raise ValueError(f"table of {n} terms cannot test even N=0")
-    top = min((n - 1 - ic.b) // ic.a, (n - 1 - ic.d) // ic.c)
-    ns = np.arange(top + 1, dtype=np.int64)
-    left = vals[ic.b + ic.a * ns]
-    right = vals[ic.d + ic.c * ns]
-    bad = np.flatnonzero(left != right)
-    return replace(
-        ic,
-        tested_to=top,
-        refuted_at=int(bad[0]) if bad.size else None,
-    )
+    if ic.b >= table.precision or ic.d >= table.precision:
+        raise ValueError(f"table of {table.precision} terms cannot test even N=0")
+    left = _progression_mod(table, ic.b, ic.a, ic.M)
+    right = _progression_mod(table, ic.d, ic.c, ic.M)
+    bad = (n for n, (x, y) in enumerate(zip(left, right)) if x != y)
+    return replace(ic, tested_to=min(len(left), len(right)) - 1, refuted_at=next(bad, None))
 
 
 @dataclass(frozen=True)
@@ -226,7 +221,7 @@ class FamilyCheck:
         return f"{head}: {self.result.status}, tested_to={self.result.tested_to}"
 
 
-def verify_family(alpha_max: int, table) -> list[FamilyCheck]:
+def verify_family(alpha_max: int, table: Series) -> list[FamilyCheck]:
     """check_triple each family member the table can reach."""
     if alpha_max < 0:
         raise ValueError("alpha_max must be nonnegative")
@@ -246,7 +241,7 @@ def verify_family(alpha_max: int, table) -> list[FamilyCheck]:
 def scan(
     max_a: int,
     moduli,
-    table,
+    table: Series,
     min_support: int = MIN_SUPPORT_FLOOR,
 ) -> list[CongruenceTriple]:
     """Every (A, B, M) with A <= max_a holding throughout the table.
@@ -264,7 +259,9 @@ def scan(
     if max_a < 1:
         raise ValueError("max_a must be positive")
 
-    base = table.residues(lcm(*mods))
+    # the dtype must hold the modulus itself: NumPy rejects `uint8 % 256`
+    modulus = lcm(*mods)
+    base = np.array(table.reduce_mod(modulus).coeffs, dtype=np.min_scalar_type(modulus))
     n = len(base)
     results = []
     for m in mods:

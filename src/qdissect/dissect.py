@@ -106,28 +106,24 @@ def compare_series(a: Series, b: Series) -> Mismatch | None:
 class RootProvider:
     """Serves named root series.
 
-    "S" is the overpartition count series: exact requests come from the
-    prefix-sum table, which the provider keeps and grows as needed;
-    residue requests come from `schur.residue_table`, which serves every
-    divisor of 256 (all catalog moduli) from one cached mod-256 table.
-    "negq" is the alternating-sign Euler product, a sign flip of the f1
-    expansion.
+    "S" is the overpartition count series: exact requests are prefixes
+    of the `schur.s_series` table, which the provider keeps and grows as
+    needed; residue requests are `schur.residue_table` results, which
+    serve every divisor of 256 (all catalog moduli) from one cached
+    mod-256 table. "negq" is the alternating-sign Euler product, a sign
+    flip of the f1 expansion.
     """
 
     def __init__(self) -> None:
-        self._exact: tuple[int, ...] = ()
-
-    def _exact_values(self, n: int) -> tuple[int, ...]:
-        if len(self._exact) < n:
-            self._exact = schur.s_series(n).values
-        return self._exact[:n]
+        self._exact: Series | None = None
 
     def series(self, name: str, ring: RingSpec, precision: int) -> Series:
         if name == "S":
-            if ring.exact:
-                return Series(ZZ, self._exact_values(precision))
-            values = schur.residue_table(precision, ring.modulus).values
-            return Series(ring, tuple(values.tolist()))
+            if not ring.exact:
+                return schur.residue_table(precision, ring.modulus)
+            if self._exact is None or self._exact.precision < precision:
+                self._exact = schur.s_series(precision)
+            return self._exact.truncate(precision)
         if name == "negq":
             base = eta.expand_eta(1, precision, ring)
             norm = ring.normalize
@@ -268,7 +264,7 @@ def verify_catalog(
             else:
                 warm_residue = max(warm_residue, need)
     if warm_exact:
-        provider._exact_values(warm_exact)
+        provider.series("S", ZZ, warm_exact)
     if warm_residue:
-        schur.residue_table(warm_residue, 256)
+        provider.series("S", mod_ring(256), warm_residue)
     return [verify_identity(rec, precision, provider) for rec in records]

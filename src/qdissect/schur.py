@@ -6,20 +6,22 @@ oracle below). The primary computation is the Euler product prefix-sum
 update, run once per admissible part size; slices and itertools keep the
 inner loops at C speed. The same update in fixed-width numpy integers
 produces residue tables for congruence work at large lengths; tables
-for divisors of 256 are slices of one cached mod-256 table.
+for divisors of 256 are slices of one cached mod-256 table. Every table
+is a `Series`: exact tables over ZZ, residue tables over Z/m.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
 from operator import add
 
 import numpy as np
+
+from .series import Series, ZZ, mod_ring
 
 _PART_RESIDUES = (0, 1, 5)
 
@@ -29,45 +31,6 @@ CACHE_ENV = "QDISSECT_CACHE"
 
 def _is_part(j: int) -> bool:
     return j % 6 in _PART_RESIDUES
-
-
-@dataclass(frozen=True)
-class SchurSeries:
-    """Exact values S(0), ..., S(precision - 1)."""
-
-    values: tuple[int, ...]
-
-    @property
-    def precision(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def residues(self, m: int) -> np.ndarray:
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        return np.array([v % m for v in self.values], dtype=np.uint64)
-
-
-@dataclass(frozen=True)
-class ResidueTable:
-    """S(n) mod `modulus` as a numpy vector."""
-
-    values: np.ndarray
-    modulus: int
-
-    @property
-    def precision(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> int:
-        return int(self.values[n])
-
-    def residues(self, m: int) -> np.ndarray:
-        if m < 2 or self.modulus % m != 0:
-            raise ValueError(f"cannot reduce a mod-{self.modulus} table mod {m}")
-        return (self.values % m).astype(np.uint64)
 
 
 def _euler_exact(n: int) -> list[int]:
@@ -88,7 +51,7 @@ def _euler_exact(n: int) -> list[int]:
     return v
 
 
-def s_series(precision: int, cache_path: str | None = None) -> SchurSeries:
+def s_series(precision: int, cache_path: str | None = None) -> Series:
     """Exact S(0..precision-1); reads/writes the cache file when given one."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -97,8 +60,8 @@ def s_series(precision: int, cache_path: str | None = None) -> SchurSeries:
     if cache_path and os.path.exists(cache_path):
         cached = load_table(cache_path)
         if cached.precision >= precision:
-            return SchurSeries(cached.values[:precision])
-    table = SchurSeries(tuple(_euler_exact(precision)))
+            return cached.truncate(precision)
+    table = Series(ZZ, tuple(_euler_exact(precision)))
     if cache_path:
         save_table(cache_path, table)
     return table
@@ -144,7 +107,7 @@ def _euler_residues(precision: int, m: int) -> np.ndarray:
 _byte_cache = np.zeros(0, dtype=np.uint8)
 
 
-def residue_table(precision: int, m: int) -> ResidueTable:
+def residue_table(precision: int, m: int) -> Series:
     """S(n) mod m for n < precision, without big-integer arithmetic."""
     global _byte_cache
     if precision < 1:
@@ -156,18 +119,21 @@ def residue_table(precision: int, m: int) -> ResidueTable:
             _byte_cache = _euler_residues(precision, 256)
             _byte_cache.setflags(write=False)
         vals = _byte_cache[:precision]
-        return ResidueTable(vals % np.uint8(m) if m < 256 else vals, m)
-    if m >= 1 << 62:
+        if m < 256:  # np.uint8 cannot hold 256
+            vals = vals % np.uint8(m)
+    elif m >= 1 << 62:
         raise ValueError("residue tables support moduli below 2^62")
-    return ResidueTable(_euler_residues(precision, m), m)
+    else:
+        vals = _euler_residues(precision, m)
+    return Series(mod_ring(m), tuple(vals.tolist()))
 
 
-def save_table(path: str, table: SchurSeries) -> None:
+def save_table(path: str, table: Series) -> None:
     """Little-endian cache: magic, u64 count, then u32 length + magnitude + sign."""
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<Q", table.precision))
-        for v in table.values:
+        for v in table.coeffs:
             mag = abs(v)
             raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
             fh.write(struct.pack("<I", len(raw)))
@@ -175,7 +141,7 @@ def save_table(path: str, table: SchurSeries) -> None:
             fh.write(b"\x01" if v < 0 else b"\x00")
 
 
-def load_table(path: str) -> SchurSeries:
+def load_table(path: str) -> Series:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
@@ -197,7 +163,9 @@ def load_table(path: str) -> SchurSeries:
         raise ValueError(f"{path}: truncated table cache") from None
     if off != len(data):
         raise ValueError(f"{path}: trailing bytes in table cache")
-    return SchurSeries(tuple(values))
+    if not values:
+        raise ValueError(f"{path}: empty table cache")
+    return Series(ZZ, tuple(values))
 
 
 def oracle_part_count(n: int) -> int:

@@ -231,6 +231,8 @@ class Series:
         """Reduce into Z/mZ; for residue input, m must divide the modulus."""
         if m < 2:
             raise ValueError("modulus must be at least 2")
+        if m == self.ring.modulus:
+            return self
         if not self.ring.exact and self.ring.modulus % m != 0:
             raise ValueError(
                 f"cannot reduce mod {m}: not a divisor of {self.ring.modulus}"

@@ -223,11 +223,17 @@ def test_cache_env_wins_over_flag(capsys, tmp_path, monkeypatch):
     flag_path = str(tmp_path / "flag.bin")
     schur.save_table(env_path, schur.s_series(50))
     monkeypatch.setenv(schur.CACHE_ENV, env_path)
-    code, out, _ = run(capsys, "dump-table", "--table-size", "40",
+    code, out, err = run(capsys, "dump-table", "--table-size", "40",
                        "--count", "3", "--cache", flag_path)
     assert code == 0
+    assert out.splitlines() == ["0 1", "1 1", "2 1"]
+    assert err == f"note: {schur.CACHE_ENV} overrides --cache; using {env_path}\n"
     import os
     assert not os.path.exists(flag_path)  # env cache served the request
+    # no note when both name the same file
+    code, _, err = run(capsys, "dump-table", "--table-size", "40",
+                       "--count", "3", "--cache", env_path)
+    assert (code, err) == (0, "")
 
 
 def test_dump_table_truncated_cache_exits_2(capsys, tmp_path, monkeypatch):
@@ -242,6 +248,32 @@ def test_dump_table_truncated_cache_exits_2(capsys, tmp_path, monkeypatch):
         path.write_bytes(payload)
         code, out, err = run(capsys, "dump-table", "--table-size", "30", "--cache", str(path))
         assert (code, out, err) == (2, "", f"error: {path}: truncated table cache\n")
+
+
+def test_dump_table_empty_cache_exits_2(capsys, tmp_path, monkeypatch):
+    from qdissect import schur
+    monkeypatch.delenv(schur.CACHE_ENV, raising=False)
+    path = tmp_path / "empty.bin"
+    path.write_bytes(schur.CACHE_MAGIC + struct.pack("<Q", 0))
+    code, out, err = run(capsys, "dump-table", "--table-size", "30", "--cache", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: empty table cache\n")
+
+
+def test_dump_table_negative_count_exits_2(capsys):
+    code, out, err = run(capsys, "dump-table", "--table-size", "30", "--count", "-5")
+    assert (code, out, err) == (2, "", "error: --count must be nonnegative\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--moduli", "256"],
+        ["scan", "--moduli", "2,256", "--max-a", "8", "--table-size", "3000"],
+    ],
+)
+def test_scan_mod_256_exits_0(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from qdissect import congruences as cong
@@ -16,7 +15,8 @@ from qdissect.congruences import (
     scan_to_json,
     verify_family,
 )
-from qdissect.schur import ResidueTable
+from qdissect.schur import residue_table
+from qdissect.series import Series, mod_ring
 
 
 def test_triple_validation():
@@ -181,9 +181,7 @@ def test_scan_matches_check_triple(residues4k):
 
 def test_scan_tests_the_last_partial_row():
     # only the final index is nonzero, so every progression through it fails
-    values = np.zeros(100, dtype=np.uint64)
-    values[99] = 1
-    table = ResidueTable(values, 2)
+    table = Series(mod_ring(2), (0,) * 99 + (1,))
     got = scan(8, [2], table)
     assert got == _triples_that_hold(8, [2], table, MIN_SUPPORT_FLOOR)
     assert (3, 0, 2) not in {(t.A, t.B, t.M) for t in got}
@@ -195,3 +193,28 @@ def test_scan_to_json_lines(residues4k):
     lines = text.splitlines()
     assert len(lines) == len(got)
     assert json.loads(lines[0])["A"] == 32
+
+
+def test_check_triple_rejects_non_divisor_modulus():
+    with pytest.raises(ValueError):
+        check_triple(CongruenceTriple(2, 1, 3), residue_table(100, 16))
+
+
+def test_check_triple_mod_256():
+    got = check_triple(CongruenceTriple(2, 1, 256), residue_table(100, 256))
+    assert got.status == "refuted-at(0)"
+    assert got.tested_to == 49
+
+
+def test_scan_mod_256_matches_exact_table(exact5k):
+    got = scan(64, [2, 256], residue_table(5000, 256))
+    assert got == scan(64, [2, 256], exact5k)
+    assert len(got) == 245
+
+
+def test_exact_and_residue_tables_give_equal_verdicts(exact5k):
+    residues = residue_table(5000, 32)
+    assert scan(96, [8, 16, 32], exact5k) == scan(96, [8, 16, 32], residues)
+    assert verify_family(3, exact5k) == verify_family(3, residues)
+    for ic in cong.INTERNAL_PROVED + cong.INTERNAL_CONJECTURED:
+        assert check_internal(ic, exact5k) == check_internal(ic, residues)

@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
 
+import qdissect
 from qdissect import schur
 from qdissect.eta import parse, expand_expression
-from qdissect.series import ZZ
+from qdissect.series import Series, ZZ, mod_ring
 
 
 # first values, frozen from the enumeration oracles
@@ -61,11 +61,13 @@ def test_oracle_mismatches_empty():
     assert schur.oracle_mismatches(40) == []
 
 
-def test_schur_series_residues():
-    t = schur.s_series(50)
-    r = t.residues(16)
-    assert r.dtype == np.uint64
-    assert list(r[:8]) == [v % 16 for v in FIRST_21[:8]]
+def test_tables_are_series():
+    exact = schur.s_series(50)
+    residues = schur.residue_table(50, 16)
+    assert isinstance(exact, Series) and exact.ring == ZZ
+    assert isinstance(residues, Series) and residues.ring == mod_ring(16)
+    assert exact.reduce_mod(16) == residues
+    assert list(exact.reduce_mod(16).coeffs[:8]) == [v % 16 for v in FIRST_21[:8]]
 
 
 @pytest.mark.parametrize(
@@ -74,35 +76,31 @@ def test_schur_series_residues():
 def test_residue_table_matches_exact_table(exact5k, m):
     # the large moduli push the uint64 regime to its overflow bound
     got = schur.residue_table(5000, m)
-    assert got.values.tolist() == [exact5k[n] % m for n in range(5000)]
+    assert got.ring == mod_ring(m)
+    assert got.coeffs == tuple(exact5k[n] % m for n in range(5000))
 
 
 def test_residue_table_slices_cached_byte_table():
     big = schur.residue_table(3000, 256)
     small = schur.residue_table(1000, 16)
-    assert not big.values.flags.writeable
+    assert not schur._byte_cache.flags.writeable
+    assert len(schur._byte_cache) >= 3000
     fresh = schur._euler_residues(1000, 256)
-    assert big.values[:1000].tolist() == fresh.tolist()
-    assert small.values.tolist() == (fresh % 16).tolist()
+    assert big.coeffs[:1000] == tuple(fresh.tolist())
+    assert small.coeffs == tuple((fresh % 16).tolist())
 
 
 def test_residue_table_byte_path_vs_uint64_path():
     # 16 divides 256 so it takes the byte route; 48 forces the general one
     byte16 = schur.residue_table(600, 16)
     wide48 = schur.residue_table(600, 48)
-    assert list(byte16.residues(16)) == list(wide48.residues(16) % 16)
+    assert byte16 == wide48.reduce_mod(16)
 
 
 def test_residue_table_exactness():
     t = schur.s_series(300)
     r = schur.residue_table(300, 8)
-    assert list(r.residues(8)) == [t[n] % 8 for n in range(300)]
-
-
-def test_residue_table_rejects_incompatible_submodulus():
-    r = schur.residue_table(100, 16)
-    with pytest.raises(ValueError):
-        r.residues(3)
+    assert r.coeffs == tuple(t[n] % 8 for n in range(300))
 
 
 def test_residue_table_validation():
@@ -124,19 +122,28 @@ def test_load_table_rejects_truncated_cache(tmp_path):
             schur.load_table(path)
 
 
+def test_load_table_rejects_empty_cache(tmp_path):
+    path = str(tmp_path / "empty.bin")
+    with open(path, "wb") as fh:
+        fh.write(schur.CACHE_MAGIC + bytes(8))
+    with pytest.raises(ValueError, match="empty table cache"):
+        schur.load_table(path)
+
+
 def test_cache_round_trip(tmp_path):
     path = str(tmp_path / "table.bin")
     t = schur.s_series(120)
     schur.save_table(path, t)
     back = schur.load_table(path)
     assert back.precision == 120
-    assert [back[n] for n in range(120)] == [t[n] for n in range(120)]
+    assert back == t
 
 
 def test_s_series_uses_cache_prefix(tmp_path):
     path = str(tmp_path / "table.bin")
     schur.save_table(path, schur.s_series(100))
     t = schur.s_series(60, cache_path=path)
+    assert t == schur.load_table(path).truncate(60)
     assert [t[n] for n in range(21)] == FIRST_21
 
 
@@ -152,3 +159,7 @@ def test_s_series_writes_cache_when_missing(tmp_path):
     path = str(tmp_path / "fresh.bin")
     schur.s_series(40, cache_path=path)
     assert schur.load_table(path).precision >= 40
+
+
+def test_public_names_resolve():
+    assert all(hasattr(qdissect, name) for name in qdissect.__all__)

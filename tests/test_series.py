@@ -149,6 +149,11 @@ def test_reduce_mod_divisor_compatibility():
         f.reduce_mod(3)
 
 
+def test_reduce_mod_own_modulus_is_identity():
+    s = Series.of(mod_ring(16), [9, 15, 3])
+    assert s.reduce_mod(s.ring.modulus) is s
+
+
 def test_mod_ring_normalizes_on_construction():
     assert Series.of(mod_ring(5), [7, -1]).coeffs == (2, 4)
 

@@ -12,47 +12,35 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import lcm
 
 from . import aaw, congruences, dissect, eta, schur
 from .series import Series, ZZ, mod_ring
 
 
-@dataclass(frozen=True)
-class Config:
-    precision: int = 500
-    table_size: int = 40_000
-    output: str = "text"
-    cache_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.precision < 8:
-            raise ValueError("precision must be at least 8")
-        if self.table_size < 1:
-            raise ValueError("table size must be positive")
-        if self.output not in ("text", "json"):
-            raise ValueError("output must be 'text' or 'json'")
+DEFAULT_PRECISION = 500
+DEFAULT_TABLE_SIZE = 40_000
 
 
-def _config(args: argparse.Namespace) -> Config:
+def _check_sizes(args: argparse.Namespace) -> None:
     precision = getattr(args, "precision", None)
-    flag_cache = getattr(args, "cache", None)
-    # the environment variable wins over the flag
-    env_cache = os.environ.get(schur.CACHE_ENV) or None
-    if env_cache and flag_cache and env_cache != flag_cache:
-        print(f"note: {schur.CACHE_ENV} overrides --cache; using {env_cache}", file=sys.stderr)
-    return Config(
-        precision=500 if precision is None else precision,
-        table_size=getattr(args, "table_size", 40_000),
-        output="json" if getattr(args, "json", False) else "text",
-        cache_path=env_cache or flag_cache,
-    )
+    if precision is not None and precision < 8:
+        raise ValueError("precision must be at least 8")
+    if getattr(args, "table_size", 1) < 1:
+        raise ValueError("table size must be positive")
+
+
+def _cache_path(flag: str | None) -> str | None:
+    """The exact-table cache to use: QDISSECT_CACHE wins over --cache, and
+    a note on stderr names the file used when the two differ."""
+    env = os.environ.get(schur.CACHE_ENV) or None
+    if env and flag and env != flag:
+        print(f"note: {schur.CACHE_ENV} overrides --cache; using {env}", file=sys.stderr)
+    return env or flag
 
 
 def _ring(args: argparse.Namespace):
-    mod = getattr(args, "mod", None)
-    return ZZ if mod is None else mod_ring(mod)
+    return ZZ if args.mod is None else mod_ring(args.mod)
 
 
 def _print_coeffs(series: Series, as_json: bool) -> None:
@@ -62,84 +50,41 @@ def _print_coeffs(series: Series, as_json: bool) -> None:
         print(" ".join(str(c) for c in series.coeffs))
 
 
-def _report_json(rep: dissect.VerificationReport) -> str:
-    mm = None
-    if rep.mismatch is not None:
-        mm = {"degree": rep.mismatch.degree, "lhs": rep.mismatch.lhs, "rhs": rep.mismatch.rhs}
-    return json.dumps(
-        {
-            "name": rep.name,
-            "passed": rep.passed,
-            "precision": rep.precision,
-            "modulus": rep.modulus,
-            "required_root_precision": rep.required_root_precision,
-            "mismatch": mm,
-        }
-    )
-
-
-def _emit_reports(reports, as_json: bool) -> int:
-    for rep in reports:
-        print(_report_json(rep) if as_json else rep.describe())
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def _parse_steps(texts) -> tuple[tuple[int, int], ...]:
-    steps = []
-    for item in texts:
-        m, _, r = item.partition(":")
-        try:
-            step = (int(m), int(r))
-        except ValueError:
-            raise ValueError(f"extraction step {item!r} is not of the form m:r") from None
-        if step[0] < 2 or not 0 <= step[1] < step[0]:
-            raise ValueError(f"extraction step {item!r} needs m >= 2 and 0 <= r < m")
-        steps.append(step)
-    return tuple(steps)
+def _emit(results, as_json: bool, passed) -> int:
+    """Print each result as it arrives; exit code 1 unless all passed."""
+    ok = True
+    for res in results:
+        print(res.as_json() if as_json else res.describe())
+        ok = passed(res) and ok
+    return 0 if ok else 1
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    series = eta.expand_expression(eta.parse(args.expression), cfg.precision, _ring(args))
-    _print_coeffs(series, cfg.output == "json")
+    series = eta.expand_expression(eta.parse(args.expression), args.precision, _ring(args))
+    _print_coeffs(series, args.json)
     return 0
 
 
 def cmd_dissect(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    ring = _ring(args)
-    steps = _parse_steps(args.steps)
-    parsed = dissect._parse_lhs(args.expression)
-    if isinstance(parsed, dissect.RootRecipe):
-        steps = parsed.steps + steps
-        need = dissect.required_root_precision(steps, cfg.precision)
-        series = dissect._shared_provider.series(parsed.root, ring, need)
-    else:
-        need = dissect.required_root_precision(steps, cfg.precision)
-        series = eta.expand_expression(parsed, need, ring)
-    for m, r in steps:
-        series = dissect.extract(series, m, r)
-    _print_coeffs(series.truncate(cfg.precision), cfg.output == "json")
+    steps = dissect.parse_steps(args.steps)
+    lhs = dissect.parse_lhs(args.expression)
+    _print_coeffs(dissect.lhs_series(lhs, _ring(args), args.precision, steps), args.json)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     if args.all == bool(args.ids):
         raise ValueError("pass --all or one or more record ids (not both)")
-    records = dissect.load_catalog() if args.all else tuple(
-        dissect.get_record(name) for name in args.ids
-    )
+    records = None if args.all else [dissect.get_record(name) for name in args.ids]
     reports = dissect.verify_catalog(records, args.precision)
-    return _emit_reports(reports, cfg.output == "json")
+    return _emit(reports, args.json, lambda r: r.passed)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     moduli = sorted({int(m) for m in args.moduli.split(",") if m.strip()})
     if not moduli:
         raise ValueError("at least one modulus is required")
-    table = schur.residue_table(cfg.table_size, lcm(*moduli))
+    table = schur.residue_table(args.table_size, lcm(*moduli))
     results = congruences.scan(args.max_a, moduli, table, args.min_support)
     out = congruences.scan_to_json(results)
     if out:
@@ -148,49 +93,22 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    table = schur.residue_table(cfg.table_size, 16)
+    table = schur.residue_table(args.table_size, 16)
     checks = congruences.verify_family(args.alpha_max, table)
-    ok = True
-    for check in checks:
-        if cfg.output == "json":
-            payload = {
-                "alpha": check.alpha, "A": check.A, "B": check.B,
-                "testable": check.testable,
-                "status": check.result.status if check.testable else None,
-                "tested_to": check.result.tested_to if check.testable else None,
-            }
-            print(json.dumps(payload))
-        else:
-            print(check.describe())
-        if check.testable and not check.result.holds:
-            ok = False
-    return 0 if ok else 1
+    return _emit(checks, args.json, lambda c: not c.testable or c.result.holds)
 
 
 def cmd_internal(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     entries = congruences.INTERNAL_PROVED + congruences.INTERNAL_CONJECTURED
-    table = schur.residue_table(cfg.table_size, lcm(*(ic.M for ic in entries)))
-    ok = True
-    for ic in entries:
-        checked = congruences.check_internal(ic, table)
-        if cfg.output == "json":
-            print(checked.as_json())
-        else:
-            print(
-                f"S({checked.a}N+{checked.b}) == S({checked.c}N+{checked.d}) "
-                f"(mod {checked.M}): {checked.status}, tested_to={checked.tested_to}"
-            )
-        ok = ok and checked.holds
-    return 0 if ok else 1
+    table = schur.residue_table(args.table_size, lcm(*(ic.M for ic in entries)))
+    checked = (congruences.check_internal(ic, table) for ic in entries)
+    return _emit(checked, args.json, lambda ic: ic.holds)
 
 
 def cmd_aaw_check(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    pair = aaw.compute_params(cfg.precision)
-    reports = list(aaw.verify_param_identities(pair, cfg.precision))
-    reports.append(aaw.verify_L_identity(cfg.precision))
+    pair = aaw.compute_params(args.precision)
+    reports = list(aaw.verify_param_identities(pair, args.precision))
+    reports.append(aaw.verify_L_identity(args.precision))
     obstruction = aaw.compute_L(args.l_precision).reduce_mod(16)
     mm = dissect.compare_series(obstruction, Series.zero(mod_ring(16), args.l_precision))
     reports.append(
@@ -198,20 +116,19 @@ def cmd_aaw_check(args: argparse.Namespace) -> int:
             "l-divisible-by-16", mm is None, args.l_precision, 16, None, mm
         )
     )
-    return _emit_reports(reports, cfg.output == "json")
+    return _emit(reports, args.json, lambda r: r.passed)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     if not 0 <= args.limit <= 40:
         raise ValueError("--limit must be between 0 and 40")
-    table = schur.s_series(args.limit + 1, cfg.cache_path)
+    table = schur.s_series(args.limit + 1)
     ok = True
     for n in range(args.limit + 1):
         counted = schur.oracle_schur_overpartitions(n)
         match = counted == table[n]
         ok = ok and match
-        if cfg.output == "json":
+        if args.json:
             print(json.dumps({"n": n, "oracle": counted, "table": table[n], "match": match}))
         else:
             print(f"n={n} oracle={counted} table={table[n]} {'ok' if match else 'MISMATCH'}")
@@ -219,15 +136,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_table(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    cache = _cache_path(args.cache)
     if args.save and args.mod is not None:
         raise ValueError("--save stores exact values; drop --mod")
     if args.count is not None and args.count < 0:
         raise ValueError("--count must be nonnegative")
     if args.mod is not None:
-        table = schur.residue_table(cfg.table_size, args.mod)
+        table = schur.residue_table(args.table_size, args.mod)
     else:
-        table = schur.s_series(cfg.table_size, cfg.cache_path)
+        table = schur.s_series(args.table_size, cache)
     if args.save:
         schur.save_table(args.save, table)
         print(f"saved {table.precision} values to {args.save}")
@@ -252,14 +169,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("expand", cmd_expand, "expand an eta-quotient expression to coefficients")
     p.add_argument("expression")
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--mod", type=int, default=None, help="expand over Z/m instead of Z")
     p.add_argument("--json", action="store_true")
 
     p = add("dissect", cmd_dissect, "extract arithmetic-progression components")
     p.add_argument("expression", help="DSL expression, or @root with optional inline steps")
     p.add_argument("steps", nargs="*", help="extraction steps m:r applied left to right")
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--mod", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
@@ -273,17 +190,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("scan", cmd_scan, "scan for vanishing arithmetic progressions")
     p.add_argument("--max-a", dest="max_a", type=int, default=128)
     p.add_argument("--moduli", default="8,16,32", help="comma-separated moduli")
-    p.add_argument("--table-size", dest="table_size", type=int, default=40_000)
+    p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
     p.add_argument("--min-support", dest="min_support", type=int,
                    default=congruences.MIN_SUPPORT_FLOOR)
 
     p = add("family", cmd_family, "check the infinite mod-16 progression family")
     p.add_argument("--alpha-max", dest="alpha_max", type=int, default=4)
-    p.add_argument("--table-size", dest="table_size", type=int, default=40_000)
+    p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
     p.add_argument("--json", action="store_true")
 
     p = add("internal", cmd_internal, "check internal congruences (proved and empirical)")
-    p.add_argument("--table-size", dest="table_size", type=int, default=40_000)
+    p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
     p.add_argument("--json", action="store_true")
 
     p = add("aaw-check", cmd_aaw_check, "verify the theta parameterization suite")
@@ -297,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = add("dump-table", cmd_dump_table, "print or save the count table")
-    p.add_argument("--table-size", dest="table_size", type=int, default=40_000)
+    p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
     p.add_argument("--mod", type=int, default=None, help="dump residues instead of exact values")
     p.add_argument("--count", type=int, default=None, help="print only the first K values")
     p.add_argument("--cache", default=None, help="exact-table cache file")
@@ -313,12 +230,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _check_sizes(args)
         return args.func(args)
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     except (eta.ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller precision or table size", file=sys.stderr)
         return 2
 
 

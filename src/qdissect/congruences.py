@@ -114,6 +114,12 @@ class InternalCongruence:
             return f"refuted-at({self.refuted_at})"
         return "empirical" if self.conjectural else HOLDS
 
+    def describe(self) -> str:
+        return (
+            f"S({self.a}N+{self.b}) == S({self.c}N+{self.d}) (mod {self.M}): "
+            f"{self.status}, tested_to={self.tested_to}"
+        )
+
     def as_json(self) -> str:
         return json.dumps(
             {
@@ -219,6 +225,17 @@ class FamilyCheck:
         if not self.testable:
             return f"{head}: untestable on this table"
         return f"{head}: {self.result.status}, tested_to={self.result.tested_to}"
+
+    def as_json(self) -> str:
+        r = self.result
+        return json.dumps(
+            {
+                "alpha": self.alpha, "A": self.A, "B": self.B,
+                "testable": self.testable,
+                "status": r.status if self.testable else None,
+                "tested_to": r.tested_to if self.testable else None,
+            }
+        )
 
 
 def verify_family(alpha_max: int, table: Series) -> list[FamilyCheck]:

@@ -10,8 +10,8 @@ from the recipe up front and never truncated silently.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -89,6 +89,13 @@ class VerificationReport:
             f"first mismatch at q^{mm.degree}, lhs={mm.lhs}, rhs={mm.rhs}"
         )
 
+    def as_json(self) -> str:
+        """The report's fields as JSON; a mismatch without its context window."""
+        out = asdict(self)
+        if self.mismatch is not None:
+            del out["mismatch"]["context"]
+        return json.dumps(out)
+
 
 def compare_series(a: Series, b: Series) -> Mismatch | None:
     """First differing coefficient over the common precision, with context."""
@@ -103,54 +110,74 @@ def compare_series(a: Series, b: Series) -> Mismatch | None:
     return None
 
 
-class RootProvider:
-    """Serves named root series.
+# Exact S(n) table, grown only when a request exceeds it; every exact "S"
+# request is a prefix of it
+_exact_cache: Series | None = None
+
+
+def root_series(name: str, ring: RingSpec, precision: int) -> Series:
+    """The named root series to `precision` terms over `ring`.
 
     "S" is the overpartition count series: exact requests are prefixes
-    of the `schur.s_series` table, which the provider keeps and grows as
-    needed; residue requests are `schur.residue_table` results, which
-    serve every divisor of 256 (all catalog moduli) from one cached
-    mod-256 table. "negq" is the alternating-sign Euler product, a sign
-    flip of the f1 expansion.
+    of one `schur.s_series` table kept here; residue requests are
+    `schur.residue_table` results, which serve every divisor of 256 (all
+    catalog moduli) from one cached mod-256 table. "negq" is the
+    alternating-sign Euler product, a sign flip of the f1 expansion.
     """
-
-    def __init__(self) -> None:
-        self._exact: Series | None = None
-
-    def series(self, name: str, ring: RingSpec, precision: int) -> Series:
-        if name == "S":
-            if not ring.exact:
-                return schur.residue_table(precision, ring.modulus)
-            if self._exact is None or self._exact.precision < precision:
-                self._exact = schur.s_series(precision)
-            return self._exact.truncate(precision)
-        if name == "negq":
-            base = eta.expand_eta(1, precision, ring)
-            norm = ring.normalize
-            return Series(
-                ring,
-                tuple(norm(-c) if i % 2 else c for i, c in enumerate(base.coeffs)),
-            )
-        raise ValueError(f"unknown root series {name!r}")
+    global _exact_cache
+    if name == "S":
+        if not ring.exact:
+            return schur.residue_table(precision, ring.modulus)
+        if _exact_cache is None or _exact_cache.precision < precision:
+            _exact_cache = schur.s_series(precision)
+        return _exact_cache.truncate(precision)
+    if name == "negq":
+        f1 = eta.expand_eta(1, precision, ring)
+        return Series.make(ring, precision, lambda i: -f1[i] if i % 2 else f1[i])
+    raise ValueError(f"unknown root series {name!r}")
 
 
-_shared_provider = RootProvider()
+def lhs_series(lhs, ring: RingSpec, precision: int, steps=()) -> Series:
+    """A left side with `steps` applied, to `precision` terms over `ring`.
 
-_ROOT_LHS = re.compile(r"^@(\w+)((?:\s+\d+:\d+)*)\s*$")
+    `lhs` is an eta expression or a RootRecipe, whose own steps run
+    before `steps`. The expression or root is expanded to
+    `required_root_precision`, so the last extraction still carries
+    `precision` terms.
+    """
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
+    if isinstance(lhs, RootRecipe):
+        steps = lhs.steps + tuple(steps)
+        series = root_series(lhs.root, ring, required_root_precision(steps, precision))
+    else:
+        series = eta.expand_expression(lhs, required_root_precision(steps, precision), ring)
+    for m, r in steps:
+        series = extract(series, m, r)
+    return series.truncate(precision)
 
 
-def _parse_lhs(text: str) -> "eta.EtaExpression | RootRecipe":
-    m = _ROOT_LHS.match(text)
-    if not m:
+def parse_steps(texts) -> tuple[tuple[int, int], ...]:
+    """Extraction steps from "m:r" strings, each with m >= 2 and 0 <= r < m."""
+    steps = []
+    for item in texts:
+        m, _, r = item.partition(":")
+        try:
+            step = (int(m), int(r))
+        except ValueError:
+            raise ValueError(f"extraction step {item!r} is not of the form m:r") from None
+        if step[0] < 2 or not 0 <= step[1] < step[0]:
+            raise ValueError(f"extraction step {item!r} needs m >= 2 and 0 <= r < m")
+        steps.append(step)
+    return tuple(steps)
+
+
+def parse_lhs(text: str) -> "eta.EtaExpression | RootRecipe":
+    """A left side: "@root m:r ..." as a RootRecipe, else an eta expression."""
+    if not text.lstrip().startswith("@"):
         return eta.parse(text)
-    steps = tuple(
-        (int(a), int(b))
-        for a, b in (s.split(":") for s in m.group(2).split())
-    )
-    for mod, res in steps:
-        if mod < 2 or not 0 <= res < mod:
-            raise ValueError(f"bad extraction step {mod}:{res} in {text!r}")
-    return RootRecipe(m.group(1), steps)
+    root, *steps = text.split()
+    return RootRecipe(root[1:], parse_steps(steps))
 
 
 @lru_cache(maxsize=1)
@@ -173,7 +200,7 @@ def load_catalog() -> tuple[IdentityRecord, ...]:
         records.append(
             IdentityRecord(
                 name=name,
-                lhs=_parse_lhs(lhs_text),
+                lhs=parse_lhs(lhs_text),
                 rhs=eta.parse(rhs_text),
                 modulus=int(mod_text) if mod_text else None,
                 anchor=anchor,
@@ -193,78 +220,53 @@ DEFAULT_EXACT_PRECISION = 500
 DEFAULT_MOD_PRECISION = 2000
 
 
-def _default_precision(record: IdentityRecord) -> int:
+def _precision(record: IdentityRecord, precision: int | None) -> int:
+    if precision is not None:
+        return precision
     return DEFAULT_EXACT_PRECISION if record.exact else DEFAULT_MOD_PRECISION
 
 
 def verify_dissection_theorem(
-    record: IdentityRecord,
-    precision: int | None = None,
-    provider: RootProvider | None = None,
+    record: IdentityRecord, precision: int | None = None
 ) -> VerificationReport:
     """Verify a record whose left side extracts from a root series."""
     if not isinstance(record.lhs, RootRecipe):
         raise ValueError(f"record {record.name!r} has no extraction recipe")
-    prec = precision or _default_precision(record)
-    provider = provider or _shared_provider
-    ring = ZZ if record.modulus is None else mod_ring(record.modulus)
-    need = required_root_precision(record.lhs.steps, prec)
-    current = provider.series(record.lhs.root, ring, need)
-    if current.precision < need:
-        raise ValueError(
-            f"root {record.lhs.root!r} provided at precision {current.precision}, "
-            f"need {need}"
-        )
-    for m, r in record.lhs.steps:
-        current = extract(current, m, r)
-    lhs = current.truncate(prec)
-    rhs = eta.expand_expression(record.rhs, prec, ring)
-    mm = compare_series(lhs, rhs)
-    return VerificationReport(
-        record.name, mm is None, prec, record.modulus, need, mm
-    )
+    return verify_identity(record, precision)
 
 
 def verify_identity(
-    record: IdentityRecord,
-    precision: int | None = None,
-    provider: RootProvider | None = None,
+    record: IdentityRecord, precision: int | None = None
 ) -> VerificationReport:
-    """Verify one record, whichever shape its left side has."""
-    if isinstance(record.lhs, RootRecipe):
-        return verify_dissection_theorem(record, precision, provider)
-    prec = precision or _default_precision(record)
-    ring = ZZ if record.modulus is None else mod_ring(record.modulus)
-    lhs = eta.expand_expression(record.lhs, prec, ring)
+    """Verify one record, whichever shape its left side has.
+
+    Both sides are compared to `precision` terms (None: 500 for exact
+    records, 2000 mod m). The left side comes from `lhs_series`; for a
+    root recipe the report also carries the precision of the root.
+    """
+    prec = _precision(record, precision)
+    ring = ZZ if record.exact else mod_ring(record.modulus)
+    lhs = lhs_series(record.lhs, ring, prec)
     rhs = eta.expand_expression(record.rhs, prec, ring)
     mm = compare_series(lhs, rhs)
-    return VerificationReport(record.name, mm is None, prec, record.modulus, None, mm)
+    need = None
+    if isinstance(record.lhs, RootRecipe):
+        need = required_root_precision(record.lhs.steps, prec)
+    return VerificationReport(record.name, mm is None, prec, record.modulus, need, mm)
 
 
-def verify_catalog(
-    records=None,
-    precision: int | None = None,
-    provider: RootProvider | None = None,
-) -> list[VerificationReport]:
+def verify_catalog(records=None, precision: int | None = None) -> list[VerificationReport]:
     """Verify records (default: whole catalog), reporting in catalog order."""
     if records is None:
         records = load_catalog()
-    provider = provider or _shared_provider
     # Build each root table once at the largest size any record needs, so
     # smaller needs are served by slicing instead of by rebuilding.
-    warm_exact = 0
-    warm_residue = 0
+    warm: dict[RingSpec, int] = {}
     for rec in records:
         if isinstance(rec.lhs, RootRecipe) and rec.lhs.root == "S":
-            need = required_root_precision(
-                rec.lhs.steps, precision or _default_precision(rec)
-            )
-            if rec.exact:
-                warm_exact = max(warm_exact, need)
-            else:
-                warm_residue = max(warm_residue, need)
-    if warm_exact:
-        provider.series("S", ZZ, warm_exact)
-    if warm_residue:
-        provider.series("S", mod_ring(256), warm_residue)
-    return [verify_identity(rec, precision, provider) for rec in records]
+            ring = ZZ if rec.exact else mod_ring(256)
+            need = required_root_precision(rec.lhs.steps, _precision(rec, precision))
+            warm[ring] = max(warm.get(ring, 0), need)
+    for ring, need in warm.items():
+        root_series("S", ring, need)
+    return [verify_identity(rec, precision) for rec in records]

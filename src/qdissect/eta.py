@@ -21,6 +21,9 @@ from itertools import count
 from .series import Series, RingSpec, ZZ
 
 MAX_EXPONENT = 10**6
+# deepest parenthesis nesting the parser accepts; each level costs three
+# Python frames, so the bound keeps deep input far from the recursion limit
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -126,6 +129,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, pos: int | None = None):
         raise ParseError(message, self.text, self.pos if pos is None else pos)
@@ -239,12 +243,16 @@ class _Parser:
         if ch.isdigit():
             return EtaExpression.constant(self.take_uint("a number"))
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
             inner = self.expr()
             self.skip_ws()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return inner
         self.error("expected a factor")
 

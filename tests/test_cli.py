@@ -3,8 +3,8 @@ import struct
 
 import pytest
 
-from qdissect import cli, congruences
-from qdissect.cli import Config, main
+from qdissect import congruences, eta, schur
+from qdissect.cli import main
 
 
 def run(capsys, *argv):
@@ -13,20 +13,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_config_defaults():
-    cfg = Config()
-    assert cfg.precision == 500
-    assert cfg.table_size == 40_000
-    assert cfg.output == "text"
+def test_default_precision_and_table_size(capsys):
+    code, out, _ = run(capsys, "expand", "f1")
+    assert code == 0
+    assert len(out.split()) == 500
+    code, out, _ = run(capsys, "dump-table", "--mod", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 40_000
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        Config(precision=7)
-    with pytest.raises(ValueError):
-        Config(table_size=0)
-    with pytest.raises(ValueError):
-        Config(output="yaml")
+def test_dump_table_zero_table_size_exits_2(capsys):
+    code, out, err = run(capsys, "dump-table", "--table-size", "0")
+    assert (code, out, err) == (2, "", "error: table size must be positive\n")
 
 
 def test_expand_example(capsys):
@@ -274,6 +272,31 @@ def test_dump_table_negative_count_exits_2(capsys):
 def test_scan_mod_256_exits_0(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert (code, err) == (0, "")
+
+
+def test_deeply_nested_expression_exits_2(capsys):
+    deep = "(" * 3000 + "f1" + ")" * 3000
+    code, out, err = run(capsys, "expand", deep, "--precision", "8")
+    assert (code, out) == (2, "")
+    assert err == f"error: parentheses nested deeper than {eta.MAX_NESTING} at offset {eta.MAX_NESTING}\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ((schur, "residue_table"), ["dump-table", "--mod", "16", "--table-size", "10"]),
+        ((eta, "expand_expression"), ["expand", "f1", "--precision", "8"]),
+    ],
+)
+def test_memory_error_exits_2(capsys, monkeypatch, target, argv):
+    monkeypatch.setattr(*target, _out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,6 +1,9 @@
+import json
+
+import numpy as np
 import pytest
 
-from qdissect import dissect, eta
+from qdissect import dissect, eta, schur
 from qdissect.dissect import (
     IdentityRecord,
     RootRecipe,
@@ -9,6 +12,7 @@ from qdissect.dissect import (
     load_catalog,
     required_root_precision,
     verify_catalog,
+    verify_dissection_theorem,
     verify_identity,
 )
 from qdissect.series import Series, ZZ
@@ -113,6 +117,7 @@ def test_verify_identity_catches_wrong_rhs():
     assert rep.mismatch.degree == 1
     assert "FAIL" in rep.describe()
     assert "mismatch at q^1" in rep.describe()
+    assert json.loads(rep.as_json())["mismatch"] == {"degree": 1, "lhs": -1, "rhs": 0}
 
 
 def test_verify_identity_modular_negative_control():
@@ -133,9 +138,68 @@ def test_negq_root_is_sign_flipped_f1():
     rep = verify_identity(rec, precision=100)
     assert rep.passed
     # the root itself: (-q; -q) expansion equals f2^3/(f1*f4)
-    lhs = dissect._shared_provider.series("negq", ZZ, 50)
+    lhs = dissect.root_series("negq", ZZ, 50)
     rhs = eta.expand_expression(eta.parse("f2^3/(f1*f4)"), 50, ZZ)
     assert lhs.coeffs == rhs.coeffs
+
+
+def test_verify_identity_precision():
+    rec = get_record("f1f3-2diss")
+    with pytest.raises(ValueError):
+        verify_identity(rec, 0)
+    assert verify_identity(rec).precision == 500
+    assert verify_identity(get_record("unit-quotient-mod2")).precision == 2000
+
+
+def test_verify_dissection_theorem_needs_a_recipe():
+    assert verify_dissection_theorem(get_record("s-2diss-0"), 40).passed
+    with pytest.raises(ValueError):
+        verify_dissection_theorem(get_record("f1f3-2diss"), 40)
+
+
+def test_lhs_series_runs_recipe_steps_first():
+    # inline recipe steps run before the extra steps
+    inline = dissect.lhs_series(dissect.parse_lhs("@S 2:1"), ZZ, 8, ((2, 1),))
+    chained = dissect.lhs_series(dissect.parse_lhs("@S 2:1 2:1"), ZZ, 8)
+    assert inline == chained
+    table = schur.s_series(4 * 8 + 3)
+    assert inline.coeffs == table.coeffs[3::4]
+
+
+def test_parse_steps_validation():
+    assert dissect.parse_steps(["2:1", "16:11"]) == ((2, 1), (16, 11))
+    for bad in ("2-1", "2:", "1:0", "4:4", "4:-1"):
+        with pytest.raises(ValueError):
+            dissect.parse_steps([bad])
+    with pytest.raises(ValueError):
+        dissect.parse_lhs("@S 2:2")
+
+
+def test_verify_catalog_builds_each_root_table_once(monkeypatch):
+    """The warm-up builds the exact and the mod-256 table once each, at
+    the largest need, instead of once per growing record."""
+    monkeypatch.delenv(schur.CACHE_ENV, raising=False)
+    monkeypatch.setattr(schur, "_byte_cache", np.zeros(0, dtype=np.uint8))
+    monkeypatch.setattr(dissect, "_exact_cache", None)
+    builds = []
+
+    def counting(name):
+        build = getattr(schur, name)
+
+        def wrapper(*args):
+            builds.append(name)
+            return build(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(schur, "_euler_residues", counting("_euler_residues"))
+    monkeypatch.setattr(schur, "s_series", counting("s_series"))
+    records = [
+        r for r in load_catalog() if isinstance(r.lhs, RootRecipe) and r.lhs.root == "S"
+    ]
+    reports = verify_catalog(records, precision=40)
+    assert all(r.passed for r in reports)
+    assert sorted(builds) == ["_euler_residues", "s_series"]
 
 
 def test_verify_catalog_precision_override_and_order():

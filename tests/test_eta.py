@@ -103,6 +103,14 @@ def test_parse_error_carries_offset():
     assert info.value.offset == 6
 
 
+def test_parse_nesting_bound():
+    depth = eta.MAX_NESTING
+    assert parse("(" * depth + "f1" + ")" * depth) == parse("f1")
+    with pytest.raises(ParseError) as info:
+        parse("(" * (depth + 1) + "f1" + ")" * (depth + 1))
+    assert info.value.offset == depth
+
+
 def test_render_round_trip():
     for text in (
         "f2*f3/(f1*f6^2)",

@@ -31,6 +31,12 @@ COMMANDS = (
     "dissect '@S 4:3' --precision 40",
     "dissect '@S 16:11' --mod 16 --precision 100",
     "dump-table --mod 1",
+    "verify f1f3-2diss s-2diss-0 s16n11-mod16 --precision 60",
+    "family --table-size 4000",
+    "internal --table-size 4000",
+    "aaw-check --precision 48 --l-precision 64",
+    "dissect f1 2:0 --precision 8",
+    "oracle --limit 10",
 )
 
 

@@ -101,7 +101,8 @@ def cmd_family(args: argparse.Namespace) -> int:
 def cmd_internal(args: argparse.Namespace) -> int:
     entries = congruences.INTERNAL_PROVED + congruences.INTERNAL_CONJECTURED
     table = schur.residue_table(args.table_size, lcm(*(ic.M for ic in entries)))
-    checked = (congruences.check_internal(ic, table) for ic in entries)
+    # a list, not a generator: a table too short fails before any output
+    checked = [congruences.check_internal(ic, table) for ic in entries]
     return _emit(checked, args.json, lambda ic: ic.holds)
 
 

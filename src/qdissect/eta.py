@@ -15,7 +15,6 @@ and sorted), so parse(render(e)) == e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 
 from .series import Series, RingSpec, ZZ
@@ -295,9 +294,9 @@ def render(expr: EtaExpression) -> str:
     return "".join(pieces)
 
 
-@lru_cache(maxsize=256)
 def expand_eta(r: int, precision: int, ring: RingSpec = ZZ) -> Series:
-    """Expand f_r = (q^r; q^r)_inf by the pentagonal number theorem."""
+    """Expand f_r = (q^r; q^r)_inf by the pentagonal number theorem;
+    uncached, as one pass costs far less than any product it feeds."""
     if r < 1:
         raise ValueError("f subscripts must be positive")
     if precision < 1:
@@ -320,29 +319,29 @@ def expand_pochhammer(factor: PochhammerFactor, precision: int, ring: RingSpec =
     """Expand (q^j; q^m)_inf by multiplying out the factors one by one."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    coeffs = [0] * precision
-    coeffs[0] = 1
-    norm = ring.normalize
+    out = Series.one(ring, precision)
     for e in range(factor.offset, precision, factor.step):
         # multiply by (1 - q^e): one shifted subtraction, no cascading
-        tail = [norm(coeffs[n] - coeffs[n - e]) for n in range(e, precision)]
-        coeffs[e:] = tail
-    return Series.of(ring, coeffs)
+        out = out - out.mul_qpow(e).truncate(precision)
+    return out
 
 
 def expand_quotient(quotient: EtaQuotient, precision: int, ring: RingSpec = ZZ) -> Series:
-    num = Series.one(ring, precision)
-    den = None
+    """Expand prod_r f_r^{e_r}, never multiplying by the unit series: f_r
+    with r >= precision is 1 to that precision and is skipped, and the
+    denominator, if any, is inverted once."""
+    num = den = None
     for r, e in quotient.factors:
-        base = expand_eta(r, precision, ring)
+        if r >= precision:
+            continue
+        piece = expand_eta(r, precision, ring) ** abs(e)
         if e > 0:
-            num = num * (base ** e)
+            num = piece if num is None else num * piece
         else:
-            piece = base ** (-e)
             den = piece if den is None else den * piece
     if den is not None:
-        num = num * den.inv()
-    return num
+        num = den.inv() if num is None else num * den.inv()
+    return Series.one(ring, precision) if num is None else num
 
 
 def expand_expression(expr: EtaExpression, precision: int, ring: RingSpec = ZZ) -> Series:

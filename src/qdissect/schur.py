@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
@@ -129,16 +130,23 @@ def residue_table(precision: int, m: int) -> Series:
 
 
 def save_table(path: str, table: Series) -> None:
-    """Little-endian cache: magic, u64 count, then u32 length + magnitude + sign."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<Q", table.precision))
-        for v in table.coeffs:
-            mag = abs(v)
-            raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(b"\x01" if v < 0 else b"\x00")
+    """Little-endian cache: magic, u64 count, then u32 length + magnitude + sign.
+    Written to a temp file renamed over `path`: a failed write keeps the old file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(struct.pack("<Q", table.precision))
+            for v in table.coeffs:
+                mag = abs(v)
+                raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(b"\x01" if v < 0 else b"\x00")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: str) -> Series:

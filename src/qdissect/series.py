@@ -2,7 +2,8 @@
 
 A Series holds exactly `precision` coefficients, indexed from q^0. Every
 operation states the precision of its result; nothing is ever extended
-silently. Coefficients over a residue ring are kept normalized to [0, m).
+silently. Coefficients over a residue ring are kept reduced to [0, m) by
+`Series.of`, which builds every computed result.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ class RingSpec:
     @property
     def exact(self) -> bool:
         return self.modulus is None
-
-    def normalize(self, c: int) -> int:
-        return c if self.modulus is None else c % self.modulus
 
     def __repr__(self) -> str:
         return "ZZ" if self.modulus is None else f"Z/{self.modulus}"
@@ -95,11 +93,13 @@ class Series:
     def make(cls, ring: RingSpec, precision: int, coeff_fn: Callable[[int], int]) -> "Series":
         if precision < 1:
             raise ValueError("precision must be at least 1")
-        return cls(ring, tuple(ring.normalize(coeff_fn(n)) for n in range(precision)))
+        return cls.of(ring, (coeff_fn(n) for n in range(precision)))
 
     @classmethod
     def of(cls, ring: RingSpec, coeffs) -> "Series":
-        return cls(ring, tuple(ring.normalize(c) for c in coeffs))
+        """The one reducing constructor: mod m over Z/m, as given over ZZ."""
+        m = ring.modulus
+        return cls(ring, tuple(coeffs) if m is None else tuple(c % m for c in coeffs))
 
     @classmethod
     def zero(cls, ring: RingSpec, precision: int) -> "Series":
@@ -136,35 +136,21 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         self._check(other)
-        n = min(self.precision, other.precision)
-        norm = self.ring.normalize
-        return Series(
-            self.ring,
-            tuple(norm(x + y) for x, y in zip(self.coeffs[:n], other.coeffs[:n])),
-        )
+        return Series.of(self.ring, (x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
         self._check(other)
-        n = min(self.precision, other.precision)
-        norm = self.ring.normalize
-        return Series(
-            self.ring,
-            tuple(norm(x - y) for x, y in zip(self.coeffs[:n], other.coeffs[:n])),
-        )
+        return Series.of(self.ring, (x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Series":
-        norm = self.ring.normalize
-        return Series(self.ring, tuple(norm(-c) for c in self.coeffs))
+        return Series.of(self.ring, (-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            norm = self.ring.normalize
-            return Series(self.ring, tuple(norm(other * c) for c in self.coeffs))
+            return Series.of(self.ring, (other * c for c in self.coeffs))
         self._check(other)
         n = min(self.precision, other.precision)
-        out = _convolve(self.coeffs[:n], other.coeffs[:n], n)
-        norm = self.ring.normalize
-        return Series(self.ring, tuple(norm(c) for c in out))
+        return Series.of(self.ring, _convolve(self.coeffs[:n], other.coeffs[:n], n))
 
     __rmul__ = __mul__
 
@@ -183,29 +169,28 @@ class Series:
                     f"constant term {c0} is not a unit mod {self.ring.modulus}"
                 ) from None
         n = self.precision
-        norm = self.ring.normalize
-        x = [x0]
-        p = 1
-        while p < n:
-            p = min(2 * p, n)
-            ax = _convolve(self.coeffs[:p], x, p)
-            t = [-c for c in ax]
+        x = Series(self.ring, (x0,))
+        while x.precision < n:
+            p = min(2 * x.precision, n)
+            t = [-c for c in _convolve(self.coeffs[:p], x.coeffs, p)]
             t[0] += 2
-            x = [norm(c) for c in _convolve(x, t, p)]
-        return Series(self.ring, tuple(x))
+            x = Series.of(self.ring, _convolve(x.coeffs, t, p))
+        return x
 
     def __pow__(self, e: int) -> "Series":
+        """Left-to-right square-and-multiply from self, never by the unit;
+        e == 0 gives the unit and a negative e inverts first."""
         if not isinstance(e, int):
             raise TypeError("series exponent must be an integer")
         if e < 0:
             return self.inv() ** (-e)
-        result = Series.one(self.ring, self.precision)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        if e == 0:
+            return Series.one(self.ring, self.precision)
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def scale_q(self, m: int) -> "Series":
@@ -237,4 +222,4 @@ class Series:
             raise ValueError(
                 f"cannot reduce mod {m}: not a divisor of {self.ring.modulus}"
             )
-        return Series(mod_ring(m), tuple(c % m for c in self.coeffs))
+        return Series.of(mod_ring(m), self.coeffs)

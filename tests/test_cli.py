@@ -154,6 +154,12 @@ def test_internal_text_reports_empirical(capsys):
     assert sum("empirical" in line for line in lines) == 4
 
 
+def test_internal_short_table_exits_2_before_any_output(capsys):
+    code, out, err = run(capsys, "internal", "--table-size", "200")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: table of 200 terms cannot test even N=0"]
+
+
 def test_internal_refutation_exits_1(capsys, monkeypatch):
     bogus = congruences.InternalCongruence(2, 1, 1, 0, 16)
     monkeypatch.setattr(congruences, "INTERNAL_PROVED", (bogus,))

@@ -1,17 +1,19 @@
 import pytest
 
-from qdissect import eta
+from qdissect import dissect, eta
 from qdissect.eta import (
+    EtaExpression,
     EtaQuotient,
     ParseError,
     PochhammerFactor,
     expand_eta,
     expand_expression,
     expand_pochhammer,
+    expand_quotient,
     parse,
     render,
 )
-from qdissect.series import ZZ, mod_ring
+from qdissect.series import Series, ZZ, mod_ring
 
 
 # ---- oracle: multiply the product (1 - q^(j + m k)) out directly ----
@@ -165,3 +167,37 @@ def test_generating_function_three_ways():
         * expand_pochhammer(PochhammerFactor(6, 6), n)
     )
     assert quotient.coeffs == prod.inv().coeffs
+
+
+def _is_unit(x):
+    return isinstance(x, Series) and x.coeffs[0] == 1 and not any(x.coeffs[1:])
+
+
+def test_expansion_never_multiplies_by_the_unit(monkeypatch):
+    calls = []
+    mul = Series.__mul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", spy)
+    monkeypatch.setattr(Series, "__rmul__", spy)
+    n = 40
+    for rec in dissect.load_catalog():
+        ring = ZZ if rec.exact else mod_ring(rec.modulus)
+        expand_expression(rec.rhs, n, ring)
+        if isinstance(rec.lhs, EtaExpression):
+            expand_expression(rec.lhs, n, ring)
+    shapes = (EtaQuotient(), EtaQuotient.of({1: -3}), EtaQuotient.of({2: 5}))
+    rings = (ZZ, mod_ring(16))
+    got = {(q, ring): expand_quotient(q, n, ring) for q in shapes for ring in rings}
+    assert calls
+    assert not [c for c in calls if _is_unit(c[0]) or _is_unit(c[1])]
+
+    for ring in rings:
+        f1 = expand_eta(1, n, ring)
+        f2 = expand_eta(2, n, ring)
+        assert got[shapes[0], ring] == Series.one(ring, n)
+        assert got[shapes[1], ring] == (f1 * f1 * f1).inv()
+        assert got[shapes[2], ring] == f2 * f2 * f2 * f2 * f2

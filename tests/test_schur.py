@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import qdissect
@@ -137,6 +139,19 @@ def test_cache_round_trip(tmp_path):
     back = schur.load_table(path)
     assert back.precision == 120
     assert back == t
+
+
+def test_failed_save_keeps_previous_cache(tmp_path):
+    path = str(tmp_path / "table.bin")
+    schur.save_table(path, schur.s_series(120))
+    with open(path, "rb") as fh:
+        before = fh.read()
+    # abs("x") raises after two values have been written
+    with pytest.raises(TypeError):
+        schur.save_table(path, Series(ZZ, (1, 2, "x")))
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["table.bin"]
 
 
 def test_s_series_uses_cache_prefix(tmp_path):

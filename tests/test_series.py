@@ -95,10 +95,12 @@ def test_inv_mod_ring_nonunit_rejected():
 
 
 def test_pow_matches_repeated_mul():
-    f = Series.of(ZZ, [1, 1, 2, 0, 1])
-    assert (f ** 3).coeffs == (f * f * f).coeffs
-    assert (f ** 1).coeffs == f.coeffs
-    assert (f ** 0).coeffs == Series.one(ZZ, 5).coeffs
+    for ring in (ZZ, mod_ring(16)):
+        f = Series.of(ring, [1, 1, 2, 0, 1, -3, 5])
+        power = Series.one(ring, f.precision)
+        for e in range(34):
+            assert (f ** e).coeffs == power.coeffs, (ring, e)
+            power = power * f
 
 
 def test_pow_negative_inverts():

@@ -50,13 +50,13 @@ def _print_coeffs(series: Series, as_json: bool) -> None:
         print(" ".join(str(c) for c in series.coeffs))
 
 
-def _emit(results, as_json: bool, passed) -> int:
-    """Print each result as it arrives; exit code 1 unless all passed."""
-    ok = True
-    for res in results:
-        print(res.as_json() if as_json else res.describe())
-        ok = passed(res) and ok
-    return 0 if ok else 1
+def _emit(results: list, as_json: bool, passed) -> int:
+    """Print every result; exit code 1 unless all passed. All lines are
+    rendered first, so a result that cannot be rendered prints nothing."""
+    lines = [res.as_json() if as_json else res.describe() for res in results]
+    for line in lines:
+        print(line)
+    return 0 if all(passed(res) for res in results) else 1
 
 
 def cmd_expand(args: argparse.Namespace) -> int:

@@ -2,16 +2,16 @@
 
 S(n) counts partitions of n into parts congruent to 0, 1 or 5 mod 6
 (equivalently, the Schur-type overpartitions counted by the gap-matrix
-oracle below). The primary computation is the Euler product prefix-sum
-update, run once per admissible part size; slices and itertools keep the
-inner loops at C speed. The same update in fixed-width numpy integers
-produces residue tables for congruence work at large lengths; tables
-for divisors of 256 are slices of one cached mod-256 table. Every table
-is a `Series`: exact tables over ZZ, residue tables over Z/m.
+oracle below). By Jacobi's triple product (q -> q^3, z = -q^-2),
+prod_{j = 0,1,5 mod 6} (1 - q^j) = sum_k (-1)^k q^(3k^2-2k) =: theta, so
+one builder serves every table by solving theta * S = 1, over ZZ or
+Z/m; divisors of 256 slice one cached mod-256 table. Every table is a
+`Series`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -25,8 +25,10 @@ import numpy as np
 from .series import Series, ZZ, mod_ring
 
 _PART_RESIDUES = (0, 1, 5)
+_BLOCK_CAP = 1 << 11  # `_theta_table` doubles its blocks up to this size
 
-CACHE_MAGIC = b"SCHS1"
+CACHE_MAGIC = b"SCHS2"
+_DIGEST_SIZE = 32  # SHA-256 of the payload, after it
 CACHE_ENV = "QDISSECT_CACHE"
 
 
@@ -35,6 +37,7 @@ def _is_part(j: int) -> bool:
 
 
 def _euler_exact(n: int) -> list[int]:
+    # reference only: the Euler prefix sum, independent of the triple product
     v = [0] * n
     v[0] = 1
     for j in range(1, n):
@@ -52,6 +55,39 @@ def _euler_exact(n: int) -> list[int]:
     return v
 
 
+def _theta_table(n: int, m: int | None) -> np.ndarray:
+    """S(0..n-1), mod m unless m is None, from theta * S = 1 in blocks.
+
+    Given S on [0, h), the block [h, h+b) with b <= h is -S[:b] * r
+    truncated to b terms, where r[i] sums the terms theta_e S[h+i-e] with
+    e > i, which reach below h. Residues accumulate in int64 while
+    |r[i]| < len(terms) * m < 2^63, else in Python ints.
+    """
+    terms = [  # (e, ±) for theta's terms below q^n after theta_0, increasing
+        (e, np.subtract if k % 2 else np.add)
+        for k in range(1, isqrt(n) + 1)
+        for e in (3 * k * k - 2 * k, 3 * k * k + 2 * k)
+        if e < n
+    ]
+    ring = ZZ if m is None else mod_ring(m)
+    dtype = np.int64 if m is not None and len(terms) * m < 1 << 63 else object
+    v = np.zeros(n, dtype=dtype)
+    v[0] = 1
+    h = 1
+    while h < n:
+        b = min(h, _BLOCK_CAP, n - h)
+        r = np.zeros(b, dtype=dtype)
+        for e, op in terms:
+            if e >= h + b:
+                break
+            lo, hi = max(0, e - h), min(b, e)
+            op(r[lo:hi], v[h + lo - e : h + hi - e], out=r[lo:hi])
+        head = Series(ring, tuple(v[:b].tolist()))
+        v[h : h + b] = (head * Series.of(ring, (-r).tolist())).coeffs
+        h += b
+    return v
+
+
 def s_series(precision: int, cache_path: str | None = None) -> Series:
     """Exact S(0..precision-1); reads/writes the cache file when given one."""
     if precision < 1:
@@ -62,45 +98,10 @@ def s_series(precision: int, cache_path: str | None = None) -> Series:
         cached = load_table(cache_path)
         if cached.precision >= precision:
             return cached.truncate(precision)
-    table = Series(ZZ, tuple(_euler_exact(precision)))
+    table = Series(ZZ, tuple(_theta_table(precision, None).tolist()))
     if cache_path:
         save_table(cache_path, table)
     return table
-
-
-def _euler_residues(precision: int, m: int) -> np.ndarray:
-    """S(n) mod m by the Euler prefix-sum update in fixed-width integers.
-
-    For m == 256 the update runs in uint8, whose wraparound is exact
-    arithmetic mod 256. Any other modulus runs in uint64 and reduces
-    after every step: `%= m` after a strided cumsum, and a conditional
-    subtract after a block add, whose two terms are both below m.
-    """
-    wrap = m == 256
-    dtype = np.uint8 if wrap else np.uint64
-    mm = np.uint64(m)
-    v = np.zeros(precision, dtype=dtype)
-    v[0] = 1
-    split = isqrt(precision)
-    for j in range(1, precision):
-        if not _is_part(j):
-            continue
-        # a strided column holds at most precision // j + 1 terms below m,
-        # so its running sum must fit in 64 bits
-        if j <= split and (wrap or (precision // j + 1) * (m - 1) < 1 << 64):
-            for r in range(j):
-                w = v[r::j]
-                np.cumsum(w, dtype=dtype, out=w)
-                if not wrap:
-                    w %= mm
-        else:
-            for s in range(j, precision, j):
-                e = min(s + j, precision)
-                w = v[s:e]
-                np.add(w, v[s - j : e - j], out=w)
-                if not wrap:
-                    np.minimum(w, w - mm, out=w)
-    return v
 
 
 # S(n) mod 256, grown on demand and never written in place; every request
@@ -109,7 +110,7 @@ _byte_cache = np.zeros(0, dtype=np.uint8)
 
 
 def residue_table(precision: int, m: int) -> Series:
-    """S(n) mod m for n < precision, without big-integer arithmetic."""
+    """S(n) mod m for n < precision, by the same builder over Z/m."""
     global _byte_cache
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -117,7 +118,7 @@ def residue_table(precision: int, m: int) -> Series:
         raise ValueError("modulus must be at least 2")
     if 256 % m == 0:
         if len(_byte_cache) < precision:
-            _byte_cache = _euler_residues(precision, 256)
+            _byte_cache = _theta_table(precision, 256).astype(np.uint8)
             _byte_cache.setflags(write=False)
         vals = _byte_cache[:precision]
         if m < 256:  # np.uint8 cannot hold 256
@@ -125,24 +126,26 @@ def residue_table(precision: int, m: int) -> Series:
     elif m >= 1 << 62:
         raise ValueError("residue tables support moduli below 2^62")
     else:
-        vals = _euler_residues(precision, m)
+        vals = _theta_table(precision, m)
     return Series(mod_ring(m), tuple(vals.tolist()))
 
 
 def save_table(path: str, table: Series) -> None:
-    """Little-endian cache: magic, u64 count, then u32 length + magnitude + sign.
-    Written to a temp file renamed over `path`: a failed write keeps the old file."""
+    """Little-endian cache: magic, then a payload of u64 count and per value
+    u32 length + magnitude + sign, then the payload's SHA-256. Written to a
+    temp file renamed over `path`: a failed write keeps the old file."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<Q", table.precision))
+            parts = [struct.pack("<Q", table.precision)]
             for v in table.coeffs:
                 mag = abs(v)
                 raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(b"\x01" if v < 0 else b"\x00")
+                parts += (struct.pack("<I", len(raw)), raw, b"\x01" if v < 0 else b"\x00")
+            payload = b"".join(parts)
+            fh.write(CACHE_MAGIC)
+            fh.write(payload)
+            fh.write(hashlib.sha256(payload).digest())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -152,6 +155,8 @@ def save_table(path: str, table: Series) -> None:
 def load_table(path: str) -> Series:
     with open(path, "rb") as fh:
         data = fh.read()
+    if data.startswith(b"SCHS1"):
+        raise ValueError(f"{path}: old table cache format SCHS1; delete the file to rebuild it")
     if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise ValueError(f"{path}: not a table cache (bad magic)")
     off = len(CACHE_MAGIC)
@@ -169,10 +174,15 @@ def load_table(path: str) -> Series:
             values.append(-mag if sign else mag)
     except (struct.error, IndexError):
         raise ValueError(f"{path}: truncated table cache") from None
-    if off != len(data):
-        raise ValueError(f"{path}: trailing bytes in table cache")
     if not values:
         raise ValueError(f"{path}: empty table cache")
+    digest = data[off:]
+    if len(digest) < _DIGEST_SIZE:
+        raise ValueError(f"{path}: truncated table cache")
+    if len(digest) > _DIGEST_SIZE:
+        raise ValueError(f"{path}: trailing bytes in table cache")
+    if hashlib.sha256(data[len(CACHE_MAGIC) : off]).digest() != digest:
+        raise ValueError(f"{path}: table cache checksum mismatch")
     return Series(ZZ, tuple(values))
 
 

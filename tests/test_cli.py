@@ -263,6 +263,26 @@ def test_dump_table_empty_cache_exits_2(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (2, "", f"error: {path}: empty table cache\n")
 
 
+def test_verify_with_corrupt_cache_exits_2(capsys, tmp_path, monkeypatch):
+    from qdissect import dissect
+    path = tmp_path / "flipped.bin"
+    schur.save_table(str(path), schur.s_series(200))
+    data = bytearray(path.read_bytes())
+    data[len(schur.CACHE_MAGIC) + 8 + 4] ^= 1  # magnitude byte of S(0)
+    path.write_bytes(data)
+    monkeypatch.setenv(schur.CACHE_ENV, str(path))
+    monkeypatch.setattr(dissect, "_exact_cache", None)
+    code, out, err = run(capsys, "verify", "s-2diss-0", "--precision", "60")
+    assert (code, out, err) == (2, "", f"error: {path}: table cache checksum mismatch\n")
+
+
+def test_family_unprintable_member_exits_2_before_any_output(capsys):
+    # A = 2^(5+2*alpha) has more than 4300 digits from alpha = 7141 on
+    code, out, err = run(capsys, "family", "--alpha-max", "7200", "--table-size", "100")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_dump_table_negative_count_exits_2(capsys):
     code, out, err = run(capsys, "dump-table", "--table-size", "30", "--count", "-5")
     assert (code, out, err) == (2, "", "error: --count must be nonnegative\n")

@@ -182,24 +182,19 @@ def test_verify_catalog_builds_each_root_table_once(monkeypatch):
     monkeypatch.setattr(schur, "_byte_cache", np.zeros(0, dtype=np.uint8))
     monkeypatch.setattr(dissect, "_exact_cache", None)
     builds = []
+    build = schur._theta_table
 
-    def counting(name):
-        build = getattr(schur, name)
+    def counting(n, m):
+        builds.append(m)
+        return build(n, m)
 
-        def wrapper(*args):
-            builds.append(name)
-            return build(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(schur, "_euler_residues", counting("_euler_residues"))
-    monkeypatch.setattr(schur, "s_series", counting("s_series"))
+    monkeypatch.setattr(schur, "_theta_table", counting)
     records = [
         r for r in load_catalog() if isinstance(r.lhs, RootRecipe) and r.lhs.root == "S"
     ]
     reports = verify_catalog(records, precision=40)
     assert all(r.passed for r in reports)
-    assert sorted(builds) == ["_euler_residues", "s_series"]
+    assert sorted(builds, key=lambda m: m or 0) == [None, 256]
 
 
 def test_verify_catalog_precision_override_and_order():

@@ -76,7 +76,8 @@ def test_tables_are_series():
     "m", [2, 3, 9, 16, 48, 256, 2**61 - 1, 2**62 - 57, 10**12 + 39]
 )
 def test_residue_table_matches_exact_table(exact5k, m):
-    # the large moduli push the uint64 regime to its overflow bound
+    # the builder accumulates in int64 while len(terms) * m < 2^63; the
+    # large moduli cross that bound and take the object accumulator
     got = schur.residue_table(5000, m)
     assert got.ring == mod_ring(m)
     assert got.coeffs == tuple(exact5k[n] % m for n in range(5000))
@@ -87,9 +88,30 @@ def test_residue_table_slices_cached_byte_table():
     small = schur.residue_table(1000, 16)
     assert not schur._byte_cache.flags.writeable
     assert len(schur._byte_cache) >= 3000
-    fresh = schur._euler_residues(1000, 256)
-    assert big.coeffs[:1000] == tuple(fresh.tolist())
-    assert small.coeffs == tuple((fresh % 16).tolist())
+    fresh = schur._euler_exact(1000)
+    assert big.coeffs[:1000] == tuple(v % 256 for v in fresh)
+    assert small.coeffs == tuple(v % 16 for v in fresh)
+
+
+CAP = schur._BLOCK_CAP
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8_000, CAP - 1, CAP, CAP + 1, 2 * CAP + 1])
+def test_theta_table_matches_euler_reference(n):
+    # the precisions around the block cap put the last block at each edge
+    assert schur._theta_table(n, None).tolist() == schur._euler_exact(n)
+
+
+@pytest.fixture(scope="module")
+def exact40k():
+    return schur.s_series(40_000)
+
+
+@pytest.mark.parametrize("m", [3, 16, 256, 2**61 - 1])
+def test_residue_table_matches_exact_table_at_40k(exact40k, m):
+    # 2^61 - 1 takes the object accumulator, the others int64
+    got = schur.residue_table(40_000, m)
+    assert got == exact40k.reduce_mod(m)
 
 
 def test_residue_table_byte_path_vs_uint64_path():
@@ -129,6 +151,26 @@ def test_load_table_rejects_empty_cache(tmp_path):
     with open(path, "wb") as fh:
         fh.write(schur.CACHE_MAGIC + bytes(8))
     with pytest.raises(ValueError, match="empty table cache"):
+        schur.load_table(path)
+
+
+def test_load_table_rejects_flipped_byte(tmp_path):
+    path = str(tmp_path / "table.bin")
+    schur.save_table(path, schur.s_series(120))
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    data[len(schur.CACHE_MAGIC) + 8 + 4] ^= 1  # magnitude byte of S(0)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(ValueError, match="table cache checksum mismatch"):
+        schur.load_table(path)
+
+
+def test_load_table_refuses_old_format(tmp_path):
+    path = str(tmp_path / "old.bin")
+    with open(path, "wb") as fh:
+        fh.write(b"SCHS1" + (1).to_bytes(8, "little") + bytes([1, 0, 0, 0, 1, 0]))
+    with pytest.raises(ValueError, match="SCHS1; delete the file"):
         schur.load_table(path)
 
 

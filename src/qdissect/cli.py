@@ -20,6 +20,7 @@ from .series import Series, ZZ, mod_ring
 
 DEFAULT_PRECISION = 500
 DEFAULT_TABLE_SIZE = 40_000
+CACHE_ENV = "QDISSECT_CACHE"
 
 
 def _check_sizes(args: argparse.Namespace) -> None:
@@ -31,11 +32,12 @@ def _check_sizes(args: argparse.Namespace) -> None:
 
 
 def _cache_path(flag: str | None) -> str | None:
-    """The exact-table cache to use: QDISSECT_CACHE wins over --cache, and
-    a note on stderr names the file used when the two differ."""
-    env = os.environ.get(schur.CACHE_ENV) or None
+    """The exact-table cache for `dump-table`, the one reader of
+    QDISSECT_CACHE: the variable wins over --cache, and a note on stderr
+    names the file used when the two differ."""
+    env = os.environ.get(CACHE_ENV) or None
     if env and flag and env != flag:
-        print(f"note: {schur.CACHE_ENV} overrides --cache; using {env}", file=sys.stderr)
+        print(f"note: {CACHE_ENV} overrides --cache; using {env}", file=sys.stderr)
     return env or flag
 
 
@@ -93,6 +95,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    # A = 2^(5+2*alpha) prints only below 10^limit; refuse before any work
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and 5 + 2 * args.alpha_max >= (10**limit).bit_length():
+        raise ValueError(
+            f"--alpha-max {args.alpha_max} is too large: A = 2^(5+2*alpha) "
+            f"would have more than {limit} digits"
+        )
     table = schur.residue_table(args.table_size, 16)
     checks = congruences.verify_family(args.alpha_max, table)
     return _emit(checks, args.json, lambda c: not c.testable or c.result.holds)

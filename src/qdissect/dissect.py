@@ -3,9 +3,9 @@
 An IdentityRecord claims that a left side (an eta expression, or a named
 root series with extraction steps applied) equals a right side, exactly
 or modulo m. Verification expands both sides to a common precision and
-compares coefficients, reporting the first mismatch with a small window
-of context. The precision the root series must be computed to is derived
-from the recipe up front and never truncated silently.
+compares coefficients, reporting the first mismatch: its degree and the
+two coefficients there. The precision the root series must be computed
+to is derived from the recipe up front and never truncated silently.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class Mismatch:
     degree: int
     lhs: int
     rhs: int
-    context: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -90,47 +89,30 @@ class VerificationReport:
         )
 
     def as_json(self) -> str:
-        """The report's fields as JSON; a mismatch without its context window."""
-        out = asdict(self)
-        if self.mismatch is not None:
-            del out["mismatch"]["context"]
-        return json.dumps(out)
+        """The report's fields, the mismatch's included, as JSON."""
+        return json.dumps(asdict(self))
 
 
 def compare_series(a: Series, b: Series) -> Mismatch | None:
-    """First differing coefficient over the common precision, with context."""
-    n = min(a.precision, b.precision)
-    for k in range(n):
+    """First differing coefficient over the common precision."""
+    for k in range(min(a.precision, b.precision)):
         if a.coeffs[k] != b.coeffs[k]:
-            lo = max(0, k - 1)
-            window = tuple(
-                (d, a.coeffs[d], b.coeffs[d]) for d in range(lo, min(n, lo + 3))
-            )
-            return Mismatch(k, a.coeffs[k], b.coeffs[k], window)
+            return Mismatch(k, a.coeffs[k], b.coeffs[k])
     return None
-
-
-# Exact S(n) table, grown only when a request exceeds it; every exact "S"
-# request is a prefix of it
-_exact_cache: Series | None = None
 
 
 def root_series(name: str, ring: RingSpec, precision: int) -> Series:
     """The named root series to `precision` terms over `ring`.
 
-    "S" is the overpartition count series: exact requests are prefixes
-    of one `schur.s_series` table kept here; residue requests are
-    `schur.residue_table` results, which serve every divisor of 256 (all
-    catalog moduli) from one cached mod-256 table. "negq" is the
-    alternating-sign Euler product, a sign flip of the f1 expansion.
+    "S" is the overpartition count series, `schur.s_series` or
+    `schur.residue_table`; `schur` keeps the tables, so requests in any
+    order build no term twice. "negq" is the alternating-sign Euler
+    product, a sign flip of the f1 expansion.
     """
-    global _exact_cache
     if name == "S":
-        if not ring.exact:
-            return schur.residue_table(precision, ring.modulus)
-        if _exact_cache is None or _exact_cache.precision < precision:
-            _exact_cache = schur.s_series(precision)
-        return _exact_cache.truncate(precision)
+        if ring.exact:
+            return schur.s_series(precision)
+        return schur.residue_table(precision, ring.modulus)
     if name == "negq":
         f1 = eta.expand_eta(1, precision, ring)
         return Series.make(ring, precision, lambda i: -f1[i] if i % 2 else f1[i])
@@ -259,14 +241,4 @@ def verify_catalog(records=None, precision: int | None = None) -> list[Verificat
     """Verify records (default: whole catalog), reporting in catalog order."""
     if records is None:
         records = load_catalog()
-    # Build each root table once at the largest size any record needs, so
-    # smaller needs are served by slicing instead of by rebuilding.
-    warm: dict[RingSpec, int] = {}
-    for rec in records:
-        if isinstance(rec.lhs, RootRecipe) and rec.lhs.root == "S":
-            ring = ZZ if rec.exact else mod_ring(256)
-            need = required_root_precision(rec.lhs.steps, _precision(rec, precision))
-            warm[ring] = max(warm.get(ring, 0), need)
-    for ring, need in warm.items():
-        root_series("S", ring, need)
     return [verify_identity(rec, precision) for rec in records]

@@ -5,8 +5,11 @@ S(n) counts partitions of n into parts congruent to 0, 1 or 5 mod 6
 oracle below). By Jacobi's triple product (q -> q^3, z = -q^-2),
 prod_{j = 0,1,5 mod 6} (1 - q^j) = sum_k (-1)^k q^(3k^2-2k) =: theta, so
 one builder serves every table by solving theta * S = 1, over ZZ or
-Z/m; divisors of 256 slice one cached mod-256 table. Every table is a
-`Series`.
+Z/m. This module keeps every count-table decision: one read-only table
+per root ring (exact, and mod 256 for every divisor of 256), each
+extended from where it ends when a request outgrows it, so no term is
+built twice. Every table is a `Series`; the disk cache is used only
+when a caller passes its path.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ _BLOCK_CAP = 1 << 11  # `_theta_table` doubles its blocks up to this size
 
 CACHE_MAGIC = b"SCHS2"
 _DIGEST_SIZE = 32  # SHA-256 of the payload, after it
-CACHE_ENV = "QDISSECT_CACHE"
 
 
 def _is_part(j: int) -> bool:
@@ -55,13 +57,15 @@ def _euler_exact(n: int) -> list[int]:
     return v
 
 
-def _theta_table(n: int, m: int | None) -> np.ndarray:
+def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     """S(0..n-1), mod m unless m is None, from theta * S = 1 in blocks.
 
-    Given S on [0, h), the block [h, h+b) with b <= h is -S[:b] * r
-    truncated to b terms, where r[i] sums the terms theta_e S[h+i-e] with
-    e > i, which reach below h. Residues accumulate in int64 while
-    |r[i]| < len(terms) * m < 2^63, else in Python ints.
+    The build resumes after `known`, a prefix of the same table. Given S
+    on [0, h), the block [h, h+b) with b <= h is -S[:b] * r truncated to
+    b terms, where r[i] sums the terms theta_e S[h+i-e] with e > i, which
+    reach below h. Residues are stored in uint8 when m <= 256, else int64
+    (never uint64, which mixed with int64 gives float64), and accumulate
+    in int64 while |r[i]| < len(terms) * m < 2^63, else in Python ints.
     """
     terms = [  # (e, ±) for theta's terms below q^n after theta_0, increasing
         (e, np.subtract if k % 2 else np.add)
@@ -70,13 +74,14 @@ def _theta_table(n: int, m: int | None) -> np.ndarray:
         if e < n
     ]
     ring = ZZ if m is None else mod_ring(m)
-    dtype = np.int64 if m is not None and len(terms) * m < 1 << 63 else object
-    v = np.zeros(n, dtype=dtype)
-    v[0] = 1
-    h = 1
+    acc = np.int64 if m is not None and len(terms) * m < 1 << 63 else object
+    store = object if m is None else np.uint8 if m <= 256 else np.int64
+    v = np.zeros(n, dtype=store)
+    h = len(known)
+    v[:h] = known
     while h < n:
         b = min(h, _BLOCK_CAP, n - h)
-        r = np.zeros(b, dtype=dtype)
+        r = np.zeros(b, dtype=acc)
         for e, op in terms:
             if e >= h + b:
                 break
@@ -88,39 +93,43 @@ def _theta_table(n: int, m: int | None) -> np.ndarray:
     return v
 
 
+# S(n) per root ring, exact (None) and mod 256, read-only; a request past
+# the end extends the table from where it ends
+_tables: dict[int | None, np.ndarray] = {}
+
+
+def _root_table(n: int, m: int | None) -> np.ndarray:
+    v = _tables.get(m)
+    if v is None or len(v) < n:
+        v = _tables[m] = _theta_table(n, m, (1,) if v is None else v)
+        v.setflags(write=False)
+    return v[:n]
+
+
 def s_series(precision: int, cache_path: str | None = None) -> Series:
-    """Exact S(0..precision-1); reads/writes the cache file when given one."""
+    """Exact S(0..precision-1). Given a cache file, reads it first and
+    rebuilds and rewrites it only when it is shorter than `precision`."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    if cache_path is None:
-        cache_path = os.environ.get(CACHE_ENV) or None
     if cache_path and os.path.exists(cache_path):
         cached = load_table(cache_path)
         if cached.precision >= precision:
             return cached.truncate(precision)
-    table = Series(ZZ, tuple(_theta_table(precision, None).tolist()))
+    table = Series(ZZ, tuple(_root_table(precision, None).tolist()))
     if cache_path:
         save_table(cache_path, table)
     return table
 
 
-# S(n) mod 256, grown on demand and never written in place; every request
-# for a divisor of 256 is served by slicing it
-_byte_cache = np.zeros(0, dtype=np.uint8)
-
-
 def residue_table(precision: int, m: int) -> Series:
-    """S(n) mod m for n < precision, by the same builder over Z/m."""
-    global _byte_cache
+    """S(n) mod m for n < precision, by the same builder over Z/m; a
+    divisor of 256 is served from the mod-256 table."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     if m < 2:
         raise ValueError("modulus must be at least 2")
     if 256 % m == 0:
-        if len(_byte_cache) < precision:
-            _byte_cache = _theta_table(precision, 256).astype(np.uint8)
-            _byte_cache.setflags(write=False)
-        vals = _byte_cache[:precision]
+        vals = _root_table(precision, 256)
         if m < 256:  # np.uint8 cannot hold 256
             vals = vals % np.uint8(m)
     elif m >= 1 << 62:
@@ -133,22 +142,27 @@ def residue_table(precision: int, m: int) -> Series:
 def save_table(path: str, table: Series) -> None:
     """Little-endian cache: magic, then a payload of u64 count and per value
     u32 length + magnitude + sign, then the payload's SHA-256. Written to a
-    temp file renamed over `path`: a failed write keeps the old file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    temp file renamed over `path`: a failed write keeps the old file, and
+    its OSError names `path`, not the temp file."""
+    parts = [struct.pack("<Q", table.precision)]
+    for v in table.coeffs:
+        mag = abs(v)
+        raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
+        parts += (struct.pack("<I", len(raw)), raw, b"\x01" if v < 0 else b"\x00")
+    payload = b"".join(parts)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
-            parts = [struct.pack("<Q", table.precision)]
-            for v in table.coeffs:
-                mag = abs(v)
-                raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
-                parts += (struct.pack("<I", len(raw)), raw, b"\x01" if v < 0 else b"\x00")
-            payload = b"".join(parts)
             fh.write(CACHE_MAGIC)
             fh.write(payload)
             fh.write(hashlib.sha256(payload).digest())
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

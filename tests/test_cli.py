@@ -1,10 +1,11 @@
 import json
 import struct
+import sys
 
 import pytest
 
 from qdissect import congruences, eta, schur
-from qdissect.cli import main
+from qdissect.cli import CACHE_ENV, main
 
 
 def run(capsys, *argv):
@@ -226,12 +227,12 @@ def test_cache_env_wins_over_flag(capsys, tmp_path, monkeypatch):
     env_path = str(tmp_path / "env.bin")
     flag_path = str(tmp_path / "flag.bin")
     schur.save_table(env_path, schur.s_series(50))
-    monkeypatch.setenv(schur.CACHE_ENV, env_path)
+    monkeypatch.setenv(CACHE_ENV, env_path)
     code, out, err = run(capsys, "dump-table", "--table-size", "40",
                        "--count", "3", "--cache", flag_path)
     assert code == 0
     assert out.splitlines() == ["0 1", "1 1", "2 1"]
-    assert err == f"note: {schur.CACHE_ENV} overrides --cache; using {env_path}\n"
+    assert err == f"note: {CACHE_ENV} overrides --cache; using {env_path}\n"
     import os
     assert not os.path.exists(flag_path)  # env cache served the request
     # no note when both name the same file
@@ -242,7 +243,7 @@ def test_cache_env_wins_over_flag(capsys, tmp_path, monkeypatch):
 
 def test_dump_table_truncated_cache_exits_2(capsys, tmp_path, monkeypatch):
     from qdissect import schur
-    monkeypatch.delenv(schur.CACHE_ENV, raising=False)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
     path = tmp_path / "bad.bin"
     schur.save_table(str(path), schur.s_series(40))
     whole = path.read_bytes()
@@ -256,31 +257,64 @@ def test_dump_table_truncated_cache_exits_2(capsys, tmp_path, monkeypatch):
 
 def test_dump_table_empty_cache_exits_2(capsys, tmp_path, monkeypatch):
     from qdissect import schur
-    monkeypatch.delenv(schur.CACHE_ENV, raising=False)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
     path = tmp_path / "empty.bin"
     path.write_bytes(schur.CACHE_MAGIC + struct.pack("<Q", 0))
     code, out, err = run(capsys, "dump-table", "--table-size", "30", "--cache", str(path))
     assert (code, out, err) == (2, "", f"error: {path}: empty table cache\n")
 
 
-def test_verify_with_corrupt_cache_exits_2(capsys, tmp_path, monkeypatch):
-    from qdissect import dissect
+def test_verify_ignores_cache_env(capsys, tmp_path, monkeypatch):
+    # only dump-table reads QDISSECT_CACHE: verify leaves a corrupt file
+    # alone, and dump-table still refuses it
     path = tmp_path / "flipped.bin"
     schur.save_table(str(path), schur.s_series(200))
     data = bytearray(path.read_bytes())
     data[len(schur.CACHE_MAGIC) + 8 + 4] ^= 1  # magnitude byte of S(0)
     path.write_bytes(data)
-    monkeypatch.setenv(schur.CACHE_ENV, str(path))
-    monkeypatch.setattr(dissect, "_exact_cache", None)
+    monkeypatch.setenv(CACHE_ENV, str(path))
     code, out, err = run(capsys, "verify", "s-2diss-0", "--precision", "60")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS s-2diss-0")
+    assert path.read_bytes() == data
+    code, out, err = run(capsys, "dump-table", "--table-size", "30")
     assert (code, out, err) == (2, "", f"error: {path}: table cache checksum mismatch\n")
 
 
 def test_family_unprintable_member_exits_2_before_any_output(capsys):
-    # A = 2^(5+2*alpha) has more than 4300 digits from alpha = 7141 on
+    # A = 2^(5+2*alpha) has more than 4300 digits from alpha = 7140 on
     code, out, err = run(capsys, "family", "--alpha-max", "7200", "--table-size", "100")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_family_huge_alpha_max_refused_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(schur, "residue_table", lambda *a: pytest.fail("table built"))
+    code, out, err = run(capsys, "family", "--alpha-max", str(10**12))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --alpha-max") and err.count("\n") == 1
+
+
+def test_family_alpha_ceiling_follows_int_str_limit(capsys):
+    # under a 640-digit limit, 2^(5+2*1060) has 640 digits and 2^2127 has 641
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "family", "--alpha-max", "1060", "--table-size", "100")
+        assert (code, err, len(out.splitlines())) == (0, "", 1061)
+        code, out, err = run(capsys, "family", "--alpha-max", "1061", "--table-size", "100")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_failed_save_names_the_target_path(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x.bin")
+    argv = ("dump-table", "--table-size", "10", "--save", target)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(target) in err
+    assert run(capsys, *argv) == (code, out, err)
 
 
 def test_dump_table_negative_count_exits_2(capsys):

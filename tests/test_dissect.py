@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from qdissect import dissect, eta, schur
@@ -175,18 +174,17 @@ def test_parse_steps_validation():
         dissect.parse_lhs("@S 2:2")
 
 
-def test_verify_catalog_builds_each_root_table_once(monkeypatch):
-    """The warm-up builds the exact and the mod-256 table once each, at
-    the largest need, instead of once per growing record."""
-    monkeypatch.delenv(schur.CACHE_ENV, raising=False)
-    monkeypatch.setattr(schur, "_byte_cache", np.zeros(0, dtype=np.uint8))
-    monkeypatch.setattr(dissect, "_exact_cache", None)
-    builds = []
+def test_verify_catalog_computes_no_term_twice(monkeypatch):
+    """Records ask for growing root tables in catalog order; `schur`
+    extends each ring's table from where it ends, so the terms built per
+    ring total the largest need minus the seed term S(0)."""
+    monkeypatch.setattr(schur, "_tables", {})
+    built = {}
     build = schur._theta_table
 
-    def counting(n, m):
-        builds.append(m)
-        return build(n, m)
+    def counting(n, m, known=(1,)):
+        built[m] = built.get(m, 0) + n - len(known)
+        return build(n, m, known)
 
     monkeypatch.setattr(schur, "_theta_table", counting)
     records = [
@@ -194,7 +192,11 @@ def test_verify_catalog_builds_each_root_table_once(monkeypatch):
     ]
     reports = verify_catalog(records, precision=40)
     assert all(r.passed for r in reports)
-    assert sorted(builds, key=lambda m: m or 0) == [None, 256]
+    need = {}
+    for rec in records:
+        ring = None if rec.exact else 256
+        need[ring] = max(need.get(ring, 0), required_root_precision(rec.lhs.steps, 40))
+    assert built == {ring: n - 1 for ring, n in need.items()} == {None: 326, 256: 10_474}
 
 
 def test_verify_catalog_precision_override_and_order():

@@ -12,7 +12,7 @@ import io
 import os
 import shlex
 
-from qdissect import cli, schur
+from qdissect import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_transcript.txt")
 
@@ -51,13 +51,13 @@ def transcript() -> str:
 
 
 def test_golden_transcript(monkeypatch):
-    monkeypatch.delenv(schur.CACHE_ENV, raising=False)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     with open(GOLDEN, encoding="utf-8") as fh:
         expected = fh.read()
     assert transcript() == expected
 
 
 if __name__ == "__main__":
-    os.environ.pop(schur.CACHE_ENV, None)
+    os.environ.pop(cli.CACHE_ENV, None)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(transcript())

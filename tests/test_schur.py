@@ -1,9 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 import qdissect
-from qdissect import schur
+from qdissect import cli, schur
 from qdissect.eta import parse, expand_expression
 from qdissect.series import Series, ZZ, mod_ring
 
@@ -83,12 +84,17 @@ def test_residue_table_matches_exact_table(exact5k, m):
     assert got.coeffs == tuple(exact5k[n] % m for n in range(5000))
 
 
-def test_residue_table_slices_cached_byte_table():
+def test_residue_table_slices_cached_byte_table(monkeypatch):
+    monkeypatch.setattr(schur, "_tables", {})
     big = schur.residue_table(3000, 256)
     small = schur.residue_table(1000, 16)
-    assert not schur._byte_cache.flags.writeable
-    assert len(schur._byte_cache) >= 3000
+    exact = schur.s_series(100)
+    byte = schur._tables[256]
+    assert (len(byte), byte.dtype) == (3000, np.uint8)
+    assert schur._tables[None].dtype == object
+    assert not byte.flags.writeable and not schur._tables[None].flags.writeable
     fresh = schur._euler_exact(1000)
+    assert exact.coeffs == tuple(fresh[:100])
     assert big.coeffs[:1000] == tuple(v % 256 for v in fresh)
     assert small.coeffs == tuple(v % 16 for v in fresh)
 
@@ -100,6 +106,20 @@ CAP = schur._BLOCK_CAP
 def test_theta_table_matches_euler_reference(n):
     # the precisions around the block cap put the last block at each edge
     assert schur._theta_table(n, None).tolist() == schur._euler_exact(n)
+
+
+@pytest.fixture(scope="module")
+def euler6k():
+    return schur._euler_exact(6_000)
+
+
+@pytest.mark.parametrize("m", [None, 256, 9, 2**61 - 1])
+@pytest.mark.parametrize("k", [1, 2, 3, CAP - 1, CAP, CAP + 1, 5_000])
+def test_theta_table_resumes_after_known_prefix(euler6k, m, k):
+    # a build that resumes after k reference terms matches the reference
+    # past the block edges around the cap
+    want = euler6k if m is None else [v % m for v in euler6k]
+    assert schur._theta_table(6_000, m, tuple(want[:k])).tolist() == want
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +208,7 @@ def test_failed_save_keeps_previous_cache(tmp_path):
     schur.save_table(path, schur.s_series(120))
     with open(path, "rb") as fh:
         before = fh.read()
-    # abs("x") raises after two values have been written
+    # abs("x") raises while the payload is built, before any file is opened
     with pytest.raises(TypeError):
         schur.save_table(path, Series(ZZ, (1, 2, "x")))
     with open(path, "rb") as fh:
@@ -204,12 +224,27 @@ def test_s_series_uses_cache_prefix(tmp_path):
     assert [t[n] for n in range(21)] == FIRST_21
 
 
-def test_s_series_env_override(tmp_path, monkeypatch):
-    path = str(tmp_path / "env_table.bin")
-    schur.save_table(path, schur.s_series(64))
-    monkeypatch.setenv(schur.CACHE_ENV, path)
+def test_s_series_ignores_cache_env(tmp_path, monkeypatch):
+    # only the command line reads QDISSECT_CACHE; the library neither reads
+    # nor writes the file it names
+    path = tmp_path / "env_table.bin"
+    schur.save_table(str(path), Series(ZZ, (7,) * 64))
+    before = path.read_bytes()
+    monkeypatch.setenv(cli.CACHE_ENV, str(path))
     t = schur.s_series(50)
     assert [t[n] for n in range(21)] == FIRST_21
+    assert schur.s_series(100).precision == 100
+    assert path.read_bytes() == before
+
+
+def test_s_series_reads_cache_file_before_memo(tmp_path):
+    # the file wins even when the in-memory table already holds the terms
+    schur.s_series(80)
+    assert len(schur._tables[None]) >= 80
+    path = str(tmp_path / "fake.bin")
+    fake = Series(ZZ, tuple(range(100, 180)))
+    schur.save_table(path, fake)
+    assert schur.s_series(80, path) == fake
 
 
 def test_s_series_writes_cache_when_missing(tmp_path):

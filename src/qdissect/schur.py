@@ -65,7 +65,9 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     b terms, where r[i] sums the terms theta_e S[h+i-e] with e > i, which
     reach below h. Residues are stored in uint8 when m <= 256, else int64
     (never uint64, which mixed with int64 gives float64), and accumulate
-    in int64 while |r[i]| < len(terms) * m < 2^63, else in Python ints.
+    in int64: |r[i]| < len(terms) * m when that is below 2^63, else r is
+    folded into [0, m) after each theta term, so |r +- v| < 2m < 2^63.
+    Exact tables accumulate in Python ints.
     """
     terms = [  # (e, ±) for theta's terms below q^n after theta_0, increasing
         (e, np.subtract if k % 2 else np.add)
@@ -74,7 +76,8 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
         if e < n
     ]
     ring = ZZ if m is None else mod_ring(m)
-    acc = np.int64 if m is not None and len(terms) * m < 1 << 63 else object
+    acc = object if m is None else np.int64
+    fold = m is not None and len(terms) * m >= 1 << 63
     store = object if m is None else np.uint8 if m <= 256 else np.int64
     v = np.zeros(n, dtype=store)
     h = len(known)
@@ -87,6 +90,8 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
                 break
             lo, hi = max(0, e - h), min(b, e)
             op(r[lo:hi], v[h + lo - e : h + hi - e], out=r[lo:hi])
+            if fold:
+                np.remainder(r[lo:hi], m, out=r[lo:hi])
         head = Series(ring, tuple(v[:b].tolist()))
         v[h : h + b] = (head * Series.of(ring, (-r).tolist())).coeffs
         h += b

@@ -8,8 +8,32 @@ silently. Coefficients over a residue ring are kept reduced to [0, m) by
 
 from __future__ import annotations
 
+import decimal
+import sys
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
+
+# Exact products whose min(len(a), len(b)) * slot bits reach this run on
+# decimal, smaller ones on int: from 2^18 on, decimal won at every operand
+# shape measured. The tests lower it to reach the decimal path.
+_DEC_MIN_BITS = 1 << 18
+# Z/m products whose exact coefficients stay below this run on one float64
+# FFT (53-bit mantissa). Near this bound its rounding errors reach about
+# 0.1 on random operands and 0.3 when every coefficient is m - 1; the
+# residual check sends any product off by 1/4 or more to the exact path.
+_FFT_MAX = 1 << 50
+_DEC_CHUNK = 512  # slots per digit string when packing and unpacking
+
+# every arithmetic step in this context is exact or raises (Inexact,
+# Rounded); only the floor in `_dec_unpack` rounds, on purpose
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow],
+)
+_DEC_ONE = decimal.Decimal(1)
 
 
 @dataclass(frozen=True)
@@ -44,19 +68,8 @@ def _pack(coeffs, nb: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _convolve(a, b, n_out: int) -> list[int]:
-    """Truncated integer convolution by Kronecker substitution.
-
-    Packs both vectors into big integers with slots wide enough that no
-    product coefficient can reach a neighbouring slot, multiplies once,
-    and reads the slots back out (with a bias so the buffer is
-    nonnegative). Exact for arbitrary signed integer coefficients.
-    """
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
-    if max_a == 0 or max_b == 0:
-        return [0] * n_out
-    bound = min(len(a), len(b)) * max_a * max_b
+def _int_product(a, b, n_out: int, bound: int) -> list[int]:
+    # slots of 8*nb bits, read back with a bias so the buffer is nonnegative
     nb = bound.bit_length() // 8 + 1
     half = 1 << (8 * nb - 1)
     z = _pack(a, nb) * _pack(b, nb)
@@ -67,6 +80,110 @@ def _convolve(a, b, n_out: int) -> list[int]:
         int.from_bytes(buf[k * nb : (k + 1) * nb], "little") - half
         for k in range(n_out)
     ]
+
+
+def _dec_pack(coeffs, d: int) -> decimal.Decimal:
+    """Evaluate a vector with |c| < 10**d / 2 at 10**d, exactly.
+
+    Slots are carry-normalised to digits in [0, 10**d) from the bottom up
+    (a negative slot borrows one from the next), so one digit string per
+    chunk of slots suffices; a final borrow subtracts 10**(d*len).
+    """
+    base = 10**d
+    acc = decimal.Decimal(0)
+    borrow = 0
+    for lo in range(0, len(coeffs), _DEC_CHUNK):
+        digits = []
+        for c in coeffs[lo : lo + _DEC_CHUNK]:
+            c -= borrow
+            borrow = c < 0
+            digits.append(c + base if borrow else c)
+        chunk = decimal.Decimal("".join([f"{x:0{d}d}" for x in reversed(digits)]))
+        acc = _EXACT.add(acc, chunk.scaleb(lo * d, _EXACT))
+    if borrow:
+        acc = _EXACT.subtract(acc, _DEC_ONE.scaleb(len(coeffs) * d, _EXACT))
+    return acc
+
+
+def _dec_unpack(z: decimal.Decimal, d: int, n_out: int) -> list[int]:
+    """The low n_out slots of z = sum c_k 10**(d*k) with |c_k| < 10**d / 2.
+
+    Floor division by 10**(d*chunk) peels off nonnegative digit strings
+    from the bottom; a digit at or above 10**d / 2 is the slot minus
+    10**d, and the borrow it hides is carried into the next slot.
+    """
+    base = 10**d
+    half = base // 2
+    out = []
+    carry = 0
+    rest = z
+    for lo in range(0, n_out, _DEC_CHUNK):
+        width = min(_DEC_CHUNK, n_out - lo) * d
+        # floor division by 10**width (to_integral_value never signals
+        # Inexact or Rounded); the remainder below is exact
+        high = rest.scaleb(-width, _EXACT).to_integral_value(decimal.ROUND_FLOOR, _EXACT)
+        text = str(_EXACT.subtract(rest, high.scaleb(width, _EXACT))).zfill(width)
+        for i in range(width, 0, -d):
+            x = int(text[i - d : i]) + carry
+            carry = x >= half
+            out.append(x - base if carry else x)
+        rest = high
+    return out
+
+
+def _convolve(a, b, n_out: int) -> list[int]:
+    """Truncated integer convolution by Kronecker substitution.
+
+    Packs both vectors into one number each, with slots wide enough that
+    no product coefficient can reach a neighbouring slot, multiplies once
+    and reads the slots back. Small products pack in binary and multiply
+    as ints; from _DEC_MIN_BITS on they pack in base 10**d and multiply
+    as decimals, whose number-theoretic transform beats int's Karatsuba
+    on large operands. Both are exact for any signed coefficients.
+    """
+    max_a = max(abs(c) for c in a)
+    max_b = max(abs(c) for c in b)
+    if max_a == 0 or max_b == 0:
+        return [0] * n_out
+    bound = min(len(a), len(b)) * max_a * max_b
+    if min(len(a), len(b)) * bound.bit_length() < _DEC_MIN_BITS:
+        return _int_product(a, b, n_out, bound)
+    # 10**d > 2 * bound (30103 / 10**5 > log10(2)), so every slot is balanced
+    d = -(-(2 * bound).bit_length() * 30103 // 10**5)
+    # slots convert through str and int, which refuse more digits than this
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and d > limit:
+        return _int_product(a, b, n_out, bound)
+    pa = _dec_pack(a, d)
+    return _dec_unpack(_EXACT.multiply(pa, pa if b is a else _dec_pack(b, d)), d, n_out)
+
+
+def _fft_product(a, b, n_out: int, m: int) -> list[int] | None:
+    """Integer convolution of vectors reduced mod m by one float64 rfft, or
+    None when an operand is not reduced (a `Series` built directly can hold
+    any int) or some coefficient lies 1/4 or more from an integer."""
+    if min(min(a), min(b)) < 0 or max(max(a), max(b)) >= m:
+        return None
+    size = 1 << (len(a) + len(b) - 2).bit_length()
+    fa = np.fft.rfft(np.array(a, dtype=np.float64), size)
+    fb = fa if b is a else np.fft.rfft(np.array(b, dtype=np.float64), size)
+    x = np.fft.irfft(fa * fb, size)[:n_out]
+    r = np.rint(x)
+    if np.abs(x - r).max() >= 0.25:
+        return None
+    return r.astype(np.int64).tolist()
+
+
+def _multiply(a, b, n_out: int, m: int | None) -> list[int]:
+    """The one product of coefficient vectors over ZZ (m is None) or Z/m,
+    unreduced. Over Z/m, reduced operands give coefficients below
+    min(len) * (m-1)^2; below _FFT_MAX the float FFT runs, and any product
+    it does not vouch for takes the exact path."""
+    if m is not None and min(len(a), len(b)) * (m - 1) ** 2 < _FFT_MAX:
+        out = _fft_product(a, b, n_out, m)
+        if out is not None:
+            return out
+    return _convolve(a, b, n_out)
 
 
 def _schoolbook(a, b, n_out: int) -> list[int]:
@@ -150,7 +267,8 @@ class Series:
             return Series.of(self.ring, (other * c for c in self.coeffs))
         self._check(other)
         n = min(self.precision, other.precision)
-        return Series.of(self.ring, _convolve(self.coeffs[:n], other.coeffs[:n], n))
+        m = self.ring.modulus
+        return Series.of(self.ring, _multiply(self.coeffs[:n], other.coeffs[:n], n, m))
 
     __rmul__ = __mul__
 
@@ -168,14 +286,16 @@ class Series:
                 raise ValueError(
                     f"constant term {c0} is not a unit mod {self.ring.modulus}"
                 ) from None
-        n = self.precision
-        x = Series(self.ring, (x0,))
-        while x.precision < n:
-            p = min(2 * x.precision, n)
-            t = [-c for c in _convolve(self.coeffs[:p], x.coeffs, p)]
-            t[0] += 2
-            x = Series.of(self.ring, _convolve(x.coeffs, t, p))
-        return x
+        n, m = self.precision, self.ring.modulus
+        x = (x0,)
+        while len(x) < n:
+            h, p = len(x), min(2 * len(x), n)
+            # self * x = 1 + q^h e to p terms, so 1/self = x - q^h x e: the
+            # correction needs only p - h terms of each factor (e is
+            # reduced, since the Z/m multiply takes reduced operands)
+            e = Series.of(self.ring, _multiply(self.coeffs[:p], x, p, m)[h:]).coeffs
+            x += Series.of(self.ring, (-c for c in _multiply(x[: p - h], e, p - h, m))).coeffs
+        return Series(self.ring, x)
 
     def __pow__(self, e: int) -> "Series":
         """Left-to-right square-and-multiply from self, never by the unit;

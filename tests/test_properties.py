@@ -6,10 +6,11 @@ the carry, sign and truncation paths thoroughly.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from qdissect import schur
+from qdissect import schur, series
 from qdissect.dissect import extract
 from qdissect.series import Series, ZZ, mod_ring, _schoolbook
 
@@ -48,11 +49,18 @@ def test_ring_laws(triple):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(series_pairs())
-def test_fast_multiply_matches_schoolbook(pair):
+@given(series_pairs(), moduli)
+def test_fast_multiply_matches_schoolbook(pair, m):
+    # the decimal crossover at 0 sends every exact product down the decimal
+    # path (the other suites cover the int path); Z/m pairs this small take
+    # the float FFT
     a, b = pair
     n = min(a.precision, b.precision)
-    assert list((a * b).coeffs) == _schoolbook(a.coeffs, b.coeffs, n)
+    with mock.patch.object(series, "_DEC_MIN_BITS", 0):
+        assert list((a * b).coeffs) == _schoolbook(a.coeffs, b.coeffs, n)
+    ra, rb = a.reduce_mod(m), b.reduce_mod(m)
+    want = [c % m for c in _schoolbook(ra.coeffs, rb.coeffs, n)]
+    assert list((ra * rb).coeffs) == want
 
 
 @settings(max_examples=1000, deadline=None)

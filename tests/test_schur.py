@@ -77,8 +77,8 @@ def test_tables_are_series():
     "m", [2, 3, 9, 16, 48, 256, 2**61 - 1, 2**62 - 57, 10**12 + 39]
 )
 def test_residue_table_matches_exact_table(exact5k, m):
-    # the builder accumulates in int64 while len(terms) * m < 2^63; the
-    # large moduli cross that bound and take the object accumulator
+    # the builder's int64 accumulator needs no fold while len(terms) * m
+    # < 2^63; the large moduli cross that bound and fold after each term
     got = schur.residue_table(5000, m)
     assert got.ring == mod_ring(m)
     assert got.coeffs == tuple(exact5k[n] % m for n in range(5000))
@@ -129,7 +129,8 @@ def exact40k():
 
 @pytest.mark.parametrize("m", [3, 16, 256, 2**61 - 1])
 def test_residue_table_matches_exact_table_at_40k(exact40k, m):
-    # 2^61 - 1 takes the object accumulator, the others int64
+    # 2^61 - 1 (about 230 theta terms) folds its accumulator, the others
+    # never need to
     got = schur.residue_table(40_000, m)
     assert got == exact40k.reduce_mod(m)
 

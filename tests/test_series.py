@@ -1,5 +1,12 @@
+import math
+import random
+import sys
+
+import numpy as np
 import pytest
 
+from qdissect import series
+from qdissect.eta import expand_eta
 from qdissect.series import Series, ZZ, mod_ring
 
 
@@ -165,3 +172,186 @@ def test_equal_series_compare_equal():
     b = Series.of(ZZ, [1, 2])
     assert a == b
     assert a != Series.of(ZZ, [1, 3])
+
+
+# -- the multiply paths: int and decimal Kronecker over ZZ, float FFT over Z/m
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of a series-module function, still running it."""
+    calls = []
+    fn = getattr(series, name)
+    monkeypatch.setattr(series, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
+def _int_path(a, b, n_out, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "_DEC_MIN_BITS", float("inf"))
+        return series._convolve(a, b, n_out)
+
+
+def _signed(rng, n, bits):
+    return [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "len_a, len_b, bits, n_out",
+    [
+        (2_000, 2_000, 400, 2_000),
+        (10_000, 10_000, 100, 10_000),
+        (3_000, 2_000, 200, 2_000),  # unequal lengths
+        (2_000, 3_000, 150, 2_000),
+        (2_000, 2_000, 300, 1_500),  # fewer slots out than in
+        (4_000, 2_100, 120, 4_000),  # reads slots past the shorter operand
+    ],
+)
+def test_decimal_product_matches_int_path(monkeypatch, len_a, len_b, bits, n_out):
+    rng = random.Random(len_a * bits + n_out)
+    a, b = _signed(rng, len_a, bits), _signed(rng, len_b, bits)
+    dec = _spy(monkeypatch, "_dec_pack")
+    got = series._convolve(a, b, n_out)
+    assert dec, "the product is above the crossover"
+    assert got == _int_path(a, b, n_out, monkeypatch)
+
+
+def test_decimal_path_squares_with_one_packing(monkeypatch):
+    a = _signed(random.Random(7), 2_000, 200)
+    dec = _spy(monkeypatch, "_dec_pack")
+    f = Series.of(ZZ, a)
+    assert (f * f).coeffs == tuple(_int_path(a, a, 2_000, monkeypatch))
+    assert len(dec) == 1
+
+
+def test_decimal_product_with_zero_operand(monkeypatch):
+    monkeypatch.setattr(series, "_DEC_MIN_BITS", 0)
+    big = Series.of(ZZ, _signed(random.Random(3), 2_000, 300))
+    assert (big * Series.zero(ZZ, 2_000)).coeffs == (0,) * 2_000
+    assert (Series.zero(ZZ, 2_000) * big).coeffs == (0,) * 2_000
+
+
+def test_inverse_on_the_decimal_path(monkeypatch):
+    # 1/f2^3 to 4,000 terms: its Newton steps reach the decimal path
+    f = expand_eta(2, 4_000) ** 3
+    dec = _spy(monkeypatch, "_dec_pack")
+    got = f.inv()
+    assert dec
+    assert (f * got) == Series.one(ZZ, 4_000)
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "_DEC_MIN_BITS", float("inf"))
+        assert got == f.inv()
+
+
+@pytest.mark.parametrize("d", [1, 2, 40])
+def test_decimal_slots_at_the_extremes_across_chunk_edges(d):
+    # slots of +-(10^d/2 - 1) are the widest a d-digit slot holds; runs of
+    # them around the 512-slot chunk edges make the borrows and carries cross
+    extreme = 10**d // 2 - 1
+    rng = random.Random(d)
+    chunk = series._DEC_CHUNK
+    n = 2 * chunk + 40
+    edges = set(range(chunk - 6, chunk + 6)) | set(range(2 * chunk - 6, 2 * chunk + 6))
+    c = [rng.choice((-extreme, extreme)) if k in edges else rng.randint(-extreme, extreme) for k in range(n)]
+    vectors = [c, [-extreme] * n, [extreme] * n, [-extreme] + [0] * (n - 1)]
+    for v in vectors:
+        packed = series._dec_pack(v, d)
+        assert series._dec_unpack(packed, d, n) == v
+        for b, want in (([1], v), ([-1], [-x for x in v]), ([0, 1], [0] + v[:-1])):
+            z = series._EXACT.multiply(packed, series._dec_pack(b, d))
+            assert series._dec_unpack(z, d, n) == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 256])
+def test_fft_product_mod_m_matches_exact_path(monkeypatch, m):
+    rng = random.Random(m)
+    a = Series.of(mod_ring(m), [rng.randrange(m) for _ in range(2_000)])
+    b = Series.of(mod_ring(m), [rng.randrange(m) for _ in range(2_000)])
+    fft = _spy(monkeypatch, "_fft_product")
+    got = a * b
+    assert fft
+    assert got.coeffs == tuple(c % m for c in series._convolve(a.coeffs, b.coeffs, 2_000))
+
+
+def _fft_edge(n):
+    # the largest modulus whose products of n terms may take the FFT path
+    return math.isqrt((series._FFT_MAX - 1) // n) + 1
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_fft_gate_on_each_side_of_the_bound(monkeypatch, side):
+    n = 2_000
+    m = _fft_edge(n) + side
+    assert (n * (m - 1) ** 2 < series._FFT_MAX) == (side == 0)
+    rng = random.Random(side)
+    vectors = [[rng.randrange(m) for _ in range(n)] for _ in range(2)] + [[m - 1] * n]
+    fft = _spy(monkeypatch, "_fft_product")
+    for a, b in zip(vectors, vectors[1:]):
+        got = Series.of(mod_ring(m), a) * Series.of(mod_ring(m), b)
+        assert got.coeffs == tuple(c % m for c in series._convolve(a, b, n))
+    assert len(fft) == (2 if side == 0 else 0)
+
+
+@pytest.mark.parametrize("shift, accepted", [(0.3, False), (0.2, True)])
+def test_fft_residual_check(monkeypatch, shift, accepted):
+    # a product that lands `shift` away from an integer: from 1/4 on the
+    # FFT result is refused and the exact path answers
+    m, n = 16, 500
+    rng = random.Random(1)
+    a, b = ([rng.randrange(m) for _ in range(n)] for _ in range(2))
+    want = tuple(c % m for c in series._convolve(a, b, n))
+    irfft = np.fft.irfft
+
+    def skewed(*args):
+        out = irfft(*args)
+        out[n // 2] += shift
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", skewed)
+    assert (series._fft_product(a, b, n, m) is not None) == accepted
+    exact = _spy(monkeypatch, "_convolve")
+    assert (Series.of(mod_ring(m), a) * Series.of(mod_ring(m), b)).coeffs == want
+    assert len(exact) == (0 if accepted else 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 16, 2**60 + 3, 10**400])
+def test_fft_path_refuses_unreduced_operands(monkeypatch, bad):
+    # the constructor does not reduce; such operands take the exact path
+    a = Series(mod_ring(16), (bad, 3) * 50)
+    want = tuple(c % 16 for c in series._convolve(a.coeffs, a.coeffs, 100))
+    exact = _spy(monkeypatch, "_convolve")
+    assert (a * a).coeffs == want
+    assert exact
+
+
+def test_inverse_mod_m_on_the_fft_path(monkeypatch):
+    m = 256
+    rng = random.Random(2)
+    f = Series.of(mod_ring(m), [1] + [rng.randrange(m) for _ in range(1_999)])
+    fft = _spy(monkeypatch, "_fft_product")
+    assert (f * f.inv()) == Series.one(mod_ring(m), 2_000)
+    assert fft
+
+
+def test_decimal_digit_limit_gate(monkeypatch):
+    # 20 terms of about 20,000 bits: above the crossover, with slots of
+    # about 12,000 digits, past the default int/str limit of 4,300
+    rng = random.Random(4)
+    a, b = _signed(rng, 20, 20_000), _signed(rng, 20, 20_000)
+    want = _int_path(a, b, 20, monkeypatch)
+    dec = _spy(monkeypatch, "_dec_pack")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert series._convolve(a, b, 20) == want
+    assert bool(dec) == (limit == 0)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(640)
+        try:
+            assert series._convolve(a, b, 20) == want
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert bool(dec) == (limit == 0)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert series._convolve(a, b, 20) == want
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert dec

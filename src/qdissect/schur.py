@@ -25,10 +25,14 @@ from operator import add
 
 import numpy as np
 
-from .series import Series, ZZ, mod_ring
+from .series import _FFT_MAX, Series, ZZ, mod_ring, _multiply
 
 _PART_RESIDUES = (0, 1, 5)
-_BLOCK_CAP = 1 << 11  # `_theta_table` doubles its blocks up to this size
+# `_theta_table` doubles its blocks up to the first cap, or up to the second
+# when a block's product fits the float FFT (the exact path gains nothing
+# from longer blocks, while the FFT path amortises the per-block slice-adds)
+_BLOCK_CAP = 1 << 11
+_FFT_BLOCK_CAP = 1 << 14
 
 CACHE_MAGIC = b"SCHS2"
 _DIGEST_SIZE = 32  # SHA-256 of the payload, after it
@@ -63,11 +67,12 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     The build resumes after `known`, a prefix of the same table. Given S
     on [0, h), the block [h, h+b) with b <= h is -S[:b] * r truncated to
     b terms, where r[i] sums the terms theta_e S[h+i-e] with e > i, which
-    reach below h. Residues are stored in uint8 when m <= 256, else int64
-    (never uint64, which mixed with int64 gives float64), and accumulate
-    in int64: |r[i]| < len(terms) * m when that is below 2^63, else r is
-    folded into [0, m) after each theta term, so |r +- v| < 2m < 2^63.
-    Exact tables accumulate in Python ints.
+    reach below h; both factors go to the multiply as arrays. Residues are
+    stored in uint8 when m <= 256, else int64 (never uint64, which mixed
+    with int64 gives float64), and accumulate in int64: |r[i]| <
+    len(terms) * m when that is below 2^63, else r is folded into [0, m)
+    after each theta term, so |r +- v| < 2m < 2^63. Exact tables
+    accumulate in Python ints.
     """
     terms = [  # (e, ±) for theta's terms below q^n after theta_0, increasing
         (e, np.subtract if k % 2 else np.add)
@@ -75,7 +80,8 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
         for e in (3 * k * k - 2 * k, 3 * k * k + 2 * k)
         if e < n
     ]
-    ring = ZZ if m is None else mod_ring(m)
+    fft = m is not None and _FFT_BLOCK_CAP * (m - 1) ** 2 < _FFT_MAX
+    cap = _FFT_BLOCK_CAP if fft else _BLOCK_CAP
     acc = object if m is None else np.int64
     fold = m is not None and len(terms) * m >= 1 << 63
     store = object if m is None else np.uint8 if m <= 256 else np.int64
@@ -83,7 +89,7 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     h = len(known)
     v[:h] = known
     while h < n:
-        b = min(h, _BLOCK_CAP, n - h)
+        b = min(h, cap, n - h)
         r = np.zeros(b, dtype=acc)
         for e, op in terms:
             if e >= h + b:
@@ -92,8 +98,10 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
             op(r[lo:hi], v[h + lo - e : h + hi - e], out=r[lo:hi])
             if fold:
                 np.remainder(r[lo:hi], m, out=r[lo:hi])
-        head = Series(ring, tuple(v[:b].tolist()))
-        v[h : h + b] = (head * Series.of(ring, (-r).tolist())).coeffs
+        np.negative(r, out=r)
+        if m is not None:
+            np.remainder(r, m, out=r)
+        v[h : h + b] = _multiply(v[:b], r, b, m)
         h += b
     return v
 

@@ -3,7 +3,7 @@
 A Series holds exactly `precision` coefficients, indexed from q^0. Every
 operation states the precision of its result; nothing is ever extended
 silently. Coefficients over a residue ring are kept reduced to [0, m) by
-`Series.of`, which builds every computed result.
+`Series.of` and by the multiply, which build every computed result.
 """
 
 from __future__ import annotations
@@ -19,11 +19,15 @@ import numpy as np
 # decimal, smaller ones on int: from 2^18 on, decimal won at every operand
 # shape measured. The tests lower it to reach the decimal path.
 _DEC_MIN_BITS = 1 << 18
-# Z/m products whose exact coefficients stay below this run on one float64
-# FFT (53-bit mantissa). Near this bound its rounding errors reach about
-# 0.1 on random operands and 0.3 when every coefficient is m - 1; the
-# residual check sends any product off by 1/4 or more to the exact path.
+# Products whose exact coefficients stay below this run on one float64 FFT
+# (53-bit mantissa), over ZZ and Z/m alike. Near this bound its rounding
+# errors reach about 0.1 on random operands and 0.3 when every coefficient
+# is at the bound; the residual check sends any product off by 1/4 or more
+# to the exact path.
 _FFT_MAX = 1 << 50
+# Products whose shorter operand has fewer terms than this take the exact
+# path: below it, the int64 conversions and the FFT cost more than packing.
+_FFT_MIN_LEN = 32
 _DEC_CHUNK = 512  # slots per digit string when packing and unpacking
 
 # every arithmetic step in this context is exact or raises (Inexact,
@@ -158,32 +162,53 @@ def _convolve(a, b, n_out: int) -> list[int]:
     return _dec_unpack(_EXACT.multiply(pa, pa if b is a else _dec_pack(b, d)), d, n_out)
 
 
-def _fft_product(a, b, n_out: int, m: int) -> list[int] | None:
-    """Integer convolution of vectors reduced mod m by one float64 rfft, or
-    None when an operand is not reduced (a `Series` built directly can hold
-    any int) or some coefficient lies 1/4 or more from an integer."""
-    if min(min(a), min(b)) < 0 or max(max(a), max(b)) >= m:
-        return None
+def _fft_product(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray | None:
+    """The first n_out terms of the convolution of two int64 vectors by one
+    float64 rfft, as int64, or None when some coefficient lies 1/4 or more
+    from an integer."""
     size = 1 << (len(a) + len(b) - 2).bit_length()
-    fa = np.fft.rfft(np.array(a, dtype=np.float64), size)
-    fb = fa if b is a else np.fft.rfft(np.array(b, dtype=np.float64), size)
-    x = np.fft.irfft(fa * fb, size)[:n_out]
+    fa = np.fft.rfft(a, size)
+    fa *= fa if b is a else np.fft.rfft(b, size)
+    x = np.fft.irfft(fa, size)[:n_out]
+    del fa  # freed before the rounding temporaries: a lower peak RSS
     r = np.rint(x)
-    if np.abs(x - r).max() >= 0.25:
+    x -= r
+    if np.abs(x, out=x).max() >= 0.25:
         return None
-    return r.astype(np.int64).tolist()
+    return r.astype(np.int64)
+
+
+def _max_abs(x: np.ndarray) -> int:
+    # as Python ints: np.abs wraps -2^63 to itself
+    return max(int(x.max()), -int(x.min()))
 
 
 def _multiply(a, b, n_out: int, m: int | None) -> list[int]:
-    """The one product of coefficient vectors over ZZ (m is None) or Z/m,
-    unreduced. Over Z/m, reduced operands give coefficients below
-    min(len) * (m-1)^2; below _FFT_MAX the float FFT runs, and any product
-    it does not vouch for takes the exact path."""
-    if m is not None and min(len(a), len(b)) * (m - 1) ** 2 < _FFT_MAX:
-        out = _fft_product(a, b, n_out, m)
-        if out is not None:
-            return out
-    return _convolve(a, b, n_out)
+    """The one product of coefficient vectors (sequences of ints or integer
+    arrays): exact over ZZ (m is None), reduced into [0, m) over Z/m.
+
+    Every product coefficient is at most min(len) * max|a| * max|b|. When
+    both operands convert to int64 and that bound is below _FFT_MAX, the
+    float FFT runs; an unreduced Z/m operand just gives a larger bound. Any
+    product the FFT does not vouch for, short products and moduli from
+    _FFT_MAX on take the exact path.
+    """
+    n = min(len(a), len(b))
+    if n >= _FFT_MIN_LEN and (m is None or m < _FFT_MAX):
+        try:
+            xa = np.asarray(a, dtype=np.int64)
+            xb = xa if b is a else np.asarray(b, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            if n * _max_abs(xa) * _max_abs(xb) < _FFT_MAX:
+                out = _fft_product(xa, xb, n_out)
+                if out is not None:
+                    return (out if m is None else np.remainder(out, m, out=out)).tolist()
+    # the exact path packs Python ints
+    a, b = (x.tolist() if isinstance(x, np.ndarray) else x for x in (a, b))
+    out = _convolve(a, b, n_out)
+    return out if m is None else [c % m for c in out]
 
 
 def _schoolbook(a, b, n_out: int) -> list[int]:
@@ -268,7 +293,7 @@ class Series:
         self._check(other)
         n = min(self.precision, other.precision)
         m = self.ring.modulus
-        return Series.of(self.ring, _multiply(self.coeffs[:n], other.coeffs[:n], n, m))
+        return Series(self.ring, tuple(_multiply(self.coeffs[:n], other.coeffs[:n], n, m)))
 
     __rmul__ = __mul__
 
@@ -291,9 +316,8 @@ class Series:
         while len(x) < n:
             h, p = len(x), min(2 * len(x), n)
             # self * x = 1 + q^h e to p terms, so 1/self = x - q^h x e: the
-            # correction needs only p - h terms of each factor (e is
-            # reduced, since the Z/m multiply takes reduced operands)
-            e = Series.of(self.ring, _multiply(self.coeffs[:p], x, p, m)[h:]).coeffs
+            # correction needs only p - h terms of each factor
+            e = _multiply(self.coeffs[:p], x, p, m)[h:]
             x += Series.of(self.ring, (-c for c in _multiply(x[: p - h], e, p - h, m))).coeffs
         return Series(self.ring, x)
 

@@ -6,6 +6,7 @@ the carry, sign and truncation paths thoroughly.
 """
 
 import math
+import random
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -48,12 +49,26 @@ def test_ring_laws(triple):
     assert (a * Series.one(ZZ, a.precision)).coeffs == a.coeffs
 
 
+@st.composite
+def fft_pairs(draw):
+    # at least _FFT_MIN_LEN terms of at most 20 bits: the exact bound is
+    # below 64 * 2^40 = 2^46, so every such ZZ product takes the float FFT.
+    # A drawn seed fills them: drawing each coefficient would double the
+    # suite's time
+    n = draw(st.integers(min_value=series._FFT_MIN_LEN, max_value=MAX_PRECISION))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    pick = lambda: [rng.randint(-(1 << 20), 1 << 20) for _ in range(n)]
+    return pick(), pick()
+
+
 @settings(max_examples=1000, deadline=None)
-@given(series_pairs(), moduli)
-def test_fast_multiply_matches_schoolbook(pair, m):
-    # the decimal crossover at 0 sends every exact product down the decimal
-    # path (the other suites cover the int path); Z/m pairs this small take
-    # the float FFT
+@given(series_pairs(), moduli, fft_pairs())
+def test_fast_multiply_matches_schoolbook(pair, m, small):
+    # with the decimal crossover at 0, the ZZ pair's products whose bound
+    # passes 2^50 (most, at coefficients up to 10^9) take the decimal path
+    # (the other suites cover the int path); the small ZZ pair takes the
+    # float FFT, and the Z/m pair takes it from _FFT_MIN_LEN terms on and
+    # the int path below
     a, b = pair
     n = min(a.precision, b.precision)
     with mock.patch.object(series, "_DEC_MIN_BITS", 0):
@@ -61,6 +76,8 @@ def test_fast_multiply_matches_schoolbook(pair, m):
     ra, rb = a.reduce_mod(m), b.reduce_mod(m)
     want = [c % m for c in _schoolbook(ra.coeffs, rb.coeffs, n)]
     assert list((ra * rb).coeffs) == want
+    sa, sb = small
+    assert list((Series.of(ZZ, sa) * Series.of(ZZ, sb)).coeffs) == _schoolbook(sa, sb, len(sa))
 
 
 @settings(max_examples=1000, deadline=None)

@@ -117,7 +117,7 @@ def euler6k():
 @pytest.mark.parametrize("k", [1, 2, 3, CAP - 1, CAP, CAP + 1, 5_000])
 def test_theta_table_resumes_after_known_prefix(euler6k, m, k):
     # a build that resumes after k reference terms matches the reference
-    # past the block edges around the cap
+    # past the block edges around the cap of exact and large-modulus blocks
     want = euler6k if m is None else [v % m for v in euler6k]
     assert schur._theta_table(6_000, m, tuple(want[:k])).tolist() == want
 
@@ -133,6 +133,41 @@ def test_residue_table_matches_exact_table_at_40k(exact40k, m):
     # never need to
     got = schur.residue_table(40_000, m)
     assert got == exact40k.reduce_mod(m)
+
+
+FFT_CAP = schur._FFT_BLOCK_CAP
+
+
+def _block_sizes(monkeypatch):
+    sizes = []
+    multiply = schur._multiply
+    monkeypatch.setattr(schur, "_multiply", lambda a, b, n, m: sizes.append(n) or multiply(a, b, n, m))
+    return sizes
+
+
+@pytest.mark.parametrize("m, cap", [(None, CAP), (2**61 - 1, CAP), (9, FFT_CAP), (256, FFT_CAP)])
+def test_block_cap_per_ring(monkeypatch, m, cap):
+    # blocks whose product fits the float FFT double up to the larger cap;
+    # exact and large-modulus blocks stop at the smaller one. Past 2 * cap
+    # terms an uncapped block would double once more
+    sizes = _block_sizes(monkeypatch)
+    schur._theta_table(4 * cap + 1, m)
+    assert max(sizes) == cap and sizes.count(cap) == 3 and sum(sizes) == 4 * cap
+
+
+@pytest.mark.parametrize("m", [256, 9])
+@pytest.mark.parametrize("n", [FFT_CAP, FFT_CAP + 1, 2 * FFT_CAP + 1])
+def test_theta_table_at_the_fft_block_cap(exact40k, m, n):
+    # these precisions put the last block at each edge of the FFT cap
+    want = [v % m for v in exact40k.coeffs[:n]]
+    assert schur._theta_table(n, m).tolist() == want
+
+
+@pytest.mark.parametrize("m", [256, 9])
+@pytest.mark.parametrize("k", [FFT_CAP - 1, FFT_CAP, FFT_CAP + 1])
+def test_theta_table_resumes_around_the_fft_block_cap(exact40k, m, k):
+    want = [v % m for v in exact40k.coeffs]
+    assert schur._theta_table(40_000, m, tuple(want[:k])).tolist() == want
 
 
 def test_residue_table_byte_path_vs_uint64_path():

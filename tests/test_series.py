@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 
@@ -7,7 +6,7 @@ import pytest
 
 from qdissect import series
 from qdissect.eta import expand_eta
-from qdissect.series import Series, ZZ, mod_ring
+from qdissect.series import Series, ZZ, mod_ring, _schoolbook
 
 
 def geometric(precision):
@@ -174,7 +173,8 @@ def test_equal_series_compare_equal():
     assert a != Series.of(ZZ, [1, 3])
 
 
-# -- the multiply paths: int and decimal Kronecker over ZZ, float FFT over Z/m
+# -- the multiply paths: int and decimal Kronecker, and the float FFT that
+# both rings take when the exact coefficient bound allows it
 
 
 def _spy(monkeypatch, name):
@@ -272,23 +272,46 @@ def test_fft_product_mod_m_matches_exact_path(monkeypatch, m):
     assert got.coeffs == tuple(c % m for c in series._convolve(a.coeffs, b.coeffs, 2_000))
 
 
-def _fft_edge(n):
-    # the largest modulus whose products of n terms may take the FFT path
-    return math.isqrt((series._FFT_MAX - 1) // n) + 1
+def _with_maxima(rng, n, top, signed):
+    # n coefficients below `top` in size, one of them at -top (signed) or top
+    lo = -top if signed else 0
+    c = [rng.randint(lo, top) for _ in range(n)]
+    c[rng.randrange(n)] = lo if signed else top
+    return c
+
+
+# n * max|a| * max|b| right at the bound: 33 * (2^25 - 1) * 1,016,801 is
+# 2^50 - 1 (33 * 1,016,801 = 2^25 + 1), and 32 * 2^24 * 2^21 is 2^50
+_EDGES = [(33, (1 << 25) - 1, 1_016_801), (32, 1 << 24, 1 << 21)]
 
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_fft_gate_on_each_side_of_the_bound(monkeypatch, side):
-    n = 2_000
-    m = _fft_edge(n) + side
-    assert (n * (m - 1) ** 2 < series._FFT_MAX) == (side == 0)
+    n, top_a, top_b = _EDGES[side]
+    assert n * top_a * top_b == series._FFT_MAX - 1 + side
     rng = random.Random(side)
-    vectors = [[rng.randrange(m) for _ in range(n)] for _ in range(2)] + [[m - 1] * n]
     fft = _spy(monkeypatch, "_fft_product")
-    for a, b in zip(vectors, vectors[1:]):
-        got = Series.of(mod_ring(m), a) * Series.of(mod_ring(m), b)
-        assert got.coeffs == tuple(c % m for c in series._convolve(a, b, n))
+    for ring, signed in ((ZZ, True), (mod_ring(1 << 26), False)):
+        a, b = _with_maxima(rng, n, top_a, signed), _with_maxima(rng, n, top_b, signed)
+        got = Series.of(ring, a) * Series.of(ring, b)
+        assert got == Series.of(ring, _schoolbook(a, b, n))
     assert len(fft) == (2 if side == 0 else 0)
+
+
+@pytest.mark.parametrize("ring", [ZZ, mod_ring(16)], ids=repr)
+def test_short_products_take_the_exact_path(monkeypatch, ring):
+    # the shorter operand decides: one term below the constant the FFT is
+    # never tried, at it the FFT answers
+    k = series._FFT_MIN_LEN
+    rng = random.Random(k)
+    a = [rng.randrange(16) for _ in range(2 * k)]
+    b = [rng.randrange(16) for _ in range(k)]
+    for short, calls in ((k - 1, 0), (k, 1)):
+        fft = _spy(monkeypatch, "_fft_product")
+        exact = _spy(monkeypatch, "_convolve")
+        got = series._multiply(a, b[:short], 2 * k, ring.modulus)
+        assert Series.of(ring, got) == Series.of(ring, _schoolbook(a, b[:short], 2 * k))
+        assert (len(fft), len(exact)) == (calls, 1 - calls)
 
 
 @pytest.mark.parametrize("shift, accepted", [(0.3, False), (0.2, True)])
@@ -307,7 +330,8 @@ def test_fft_residual_check(monkeypatch, shift, accepted):
         return out
 
     monkeypatch.setattr(np.fft, "irfft", skewed)
-    assert (series._fft_product(a, b, n, m) is not None) == accepted
+    xa, xb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert (series._fft_product(xa, xb, n) is not None) == accepted
     exact = _spy(monkeypatch, "_convolve")
     assert (Series.of(mod_ring(m), a) * Series.of(mod_ring(m), b)).coeffs == want
     assert len(exact) == (0 if accepted else 1)
@@ -315,12 +339,45 @@ def test_fft_residual_check(monkeypatch, shift, accepted):
 
 @pytest.mark.parametrize("bad", [-1, 16, 2**60 + 3, 10**400])
 def test_fft_path_refuses_unreduced_operands(monkeypatch, bad):
-    # the constructor does not reduce; such operands take the exact path
+    # the constructor does not reduce; the product is still reduced. -1 and
+    # 16 only raise the bound and may take the FFT, while 2^60 + 3 puts it
+    # past _FFT_MAX and 10^400 does not fit int64: both take the exact path
     a = Series(mod_ring(16), (bad, 3) * 50)
-    want = tuple(c % 16 for c in series._convolve(a.coeffs, a.coeffs, 100))
+    want = tuple(c % 16 for c in _schoolbook(a.coeffs, a.coeffs, 100))
+    fft = _spy(monkeypatch, "_fft_product")
     exact = _spy(monkeypatch, "_convolve")
     assert (a * a).coeffs == want
-    assert exact
+    assert bool(exact) == (bad > 16)
+    assert bool(fft) == (bad <= 16)
+
+
+@pytest.mark.parametrize(
+    "extreme", [-(2**63), 2**63 - 1, 2**63], ids=["int64-min", "int64-max", "past-int64"]
+)
+def test_int64_extremes_take_the_exact_path(monkeypatch, extreme):
+    # np.abs(-2^63) is -2^63 in int64, and 2^63 does not convert at all;
+    # the bound must see both as huge and leave them to the exact path
+    rng = random.Random(5)
+    a = [rng.randint(-9, 9) for _ in range(40)]
+    a[7] = extreme
+    b = [rng.randint(-9, 9) for _ in range(40)]
+    fft = _spy(monkeypatch, "_fft_product")
+    for m in (None, 16):
+        got = series._multiply(a, b, 40, m)
+        want = _schoolbook(a, b, 40)
+        assert got == (want if m is None else [c % m for c in want])
+    assert series._multiply(a, a, 40, None) == _schoolbook(a, a, 40)
+    assert not fft
+
+
+def test_modulus_from_the_fft_bound_on_takes_the_exact_path(monkeypatch):
+    # an FFT result is reduced in int64, which cannot hold this modulus;
+    # the operands are tiny (and one unreduced), so only m keeps the FFT out
+    m = 2**64 + 13
+    a = Series(mod_ring(m), (-1, 2, 3) * 20)
+    fft = _spy(monkeypatch, "_fft_product")
+    assert (a * a).coeffs == tuple(c % m for c in _schoolbook(a.coeffs, a.coeffs, 60))
+    assert not fft
 
 
 def test_inverse_mod_m_on_the_fft_path(monkeypatch):

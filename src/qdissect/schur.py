@@ -25,12 +25,15 @@ from operator import add
 
 import numpy as np
 
-from .series import _FFT_MAX, Series, ZZ, mod_ring, _multiply
+from .series import Series, ZZ, mod_ring, _fft_fits, _multiply
 
 _PART_RESIDUES = (0, 1, 5)
-# `_theta_table` doubles its blocks up to the first cap, or up to the second
-# when a block's product fits the float FFT (the exact path gains nothing
-# from longer blocks, while the FFT path amortises the per-block slice-adds)
+# `_theta_table` doubles its blocks up to the second cap when a block's
+# product fits the float FFT, where longer blocks amortise the per-block
+# slice-adds, else up to the first: on the exact path a product costs more
+# than linear time, and one 2^14 cap for every table measured slower on the
+# exact 40,000-term table (1.34 -> 1.77 s) and on 300,000 terms mod
+# 2^61 - 1 (4.50 -> 4.89 s), medians of 5 runs (BENCH_9.json)
 _BLOCK_CAP = 1 << 11
 _FFT_BLOCK_CAP = 1 << 14
 
@@ -80,7 +83,7 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
         for e in (3 * k * k - 2 * k, 3 * k * k + 2 * k)
         if e < n
     ]
-    fft = m is not None and _FFT_BLOCK_CAP * (m - 1) ** 2 < _FFT_MAX
+    fft = m is not None and _fft_fits(_FFT_BLOCK_CAP, m - 1, m - 1)
     cap = _FFT_BLOCK_CAP if fft else _BLOCK_CAP
     acc = object if m is None else np.int64
     fold = m is not None and len(terms) * m >= 1 << 63

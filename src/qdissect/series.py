@@ -183,6 +183,11 @@ def _max_abs(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min()))
 
 
+def _fft_fits(n: int, top_a: int, top_b: int) -> bool:
+    # the one FFT gate: n * max|a| * max|b| bounds every product coefficient
+    return n * top_a * top_b < _FFT_MAX
+
+
 def _multiply(a, b, n_out: int, m: int | None) -> list[int]:
     """The one product of coefficient vectors (sequences of ints or integer
     arrays): exact over ZZ (m is None), reduced into [0, m) over Z/m.
@@ -201,7 +206,7 @@ def _multiply(a, b, n_out: int, m: int | None) -> list[int]:
         except OverflowError:
             pass
         else:
-            if n * _max_abs(xa) * _max_abs(xb) < _FFT_MAX:
+            if _fft_fits(n, _max_abs(xa), _max_abs(xb)):
                 out = _fft_product(xa, xb, n_out)
                 if out is not None:
                     return (out if m is None else np.remainder(out, m, out=out)).tolist()

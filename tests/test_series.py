@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -295,7 +296,18 @@ def test_fft_gate_on_each_side_of_the_bound(monkeypatch, side):
         a, b = _with_maxima(rng, n, top_a, signed), _with_maxima(rng, n, top_b, signed)
         got = Series.of(ring, a) * Series.of(ring, b)
         assert got == Series.of(ring, _schoolbook(a, b, n))
-    assert len(fft) == (2 if side == 0 else 0)
+    # long operands with every term at the maximum, n * top^2 just below
+    # the bound (side 0) or at or above it: here the FFT's own rounding
+    # error, not a faked one, meets the residual check. Coefficient k of
+    # the product is (k + 1) * top^2, times (-1)^k for the alternating pair
+    n = 2_000
+    top = math.isqrt((series._FFT_MAX - 1) // n) + side
+    assert (n * top * top < series._FFT_MAX) == (side == 0)
+    for ring, sign in ((ZZ, 1), (ZZ, -1), (mod_ring(top + 1), 1)):
+        a = [top * sign**i for i in range(n)]
+        got = Series.of(ring, a) * Series.of(ring, a)
+        assert got == Series.of(ring, [(k + 1) * top * top * sign**k for k in range(n)])
+    assert len(fft) == (5 if side == 0 else 0)
 
 
 @pytest.mark.parametrize("ring", [ZZ, mod_ring(16)], ids=repr)

@@ -29,23 +29,11 @@ HOLDS = "holds-so-far"
 MIN_SUPPORT_FLOOR = 20
 
 
-@dataclass(frozen=True)
-class CongruenceTriple:
-    """S(A*n + B) == 0 (mod M), with its test ledger."""
+class _Ledger:
+    """The test ledger of both result types, read from the subclass's fields
+    tested_to and refuted_at; _KEYS names the fields that lead its JSON."""
 
-    A: int
-    B: int
-    M: int
-    tested_to: int = -1
-    refuted_at: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.A < 1:
-            raise ValueError("progression step A must be positive")
-        if not 0 <= self.B < self.A:
-            raise ValueError(f"offset B must lie in [0, {self.A})")
-        if self.M < 2:
-            raise ValueError("modulus must be at least 2")
+    _KEYS: tuple[str, ...] = ()
 
     @property
     def holds(self) -> bool:
@@ -61,25 +49,40 @@ class CongruenceTriple:
         return HOLDS if self.holds else f"refuted-at({self.refuted_at})"
 
     def as_json(self) -> str:
-        return json.dumps(
-            {
-                "A": self.A,
-                "B": self.B,
-                "M": self.M,
-                "tested_to": self.tested_to,
-                "support": self.support,
-                "status": self.status,
-            }
-        )
+        ledger = {"tested_to": self.tested_to, "support": self.support, "status": self.status}
+        return json.dumps({**{key: getattr(self, key) for key in self._KEYS}, **ledger})
 
 
 @dataclass(frozen=True)
-class InternalCongruence:
+class CongruenceTriple(_Ledger):
+    """S(A*n + B) == 0 (mod M), with its test ledger."""
+
+    _KEYS = ("A", "B", "M")
+
+    A: int
+    B: int
+    M: int
+    tested_to: int = -1
+    refuted_at: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.A < 1:
+            raise ValueError("progression step A must be positive")
+        if not 0 <= self.B < self.A:
+            raise ValueError(f"offset B must lie in [0, {self.A})")
+        if self.M < 2:
+            raise ValueError("modulus must be at least 2")
+
+
+@dataclass(frozen=True)
+class InternalCongruence(_Ledger):
     """S(a*N + b) == S(c*N + d) (mod M) for every tested N.
 
     Entries flagged `conjectural` are numerical observations; a passing
     check reports them as "empirical" rather than as settled facts.
     """
+
+    _KEYS = ("a", "b", "c", "d", "M")
 
     a: int
     b: int
@@ -101,37 +104,13 @@ class InternalCongruence:
             raise ValueError("modulus must be at least 2")
 
     @property
-    def holds(self) -> bool:
-        return self.refuted_at is None
-
-    @property
-    def support(self) -> int:
-        return self.tested_to + 1
-
-    @property
     def status(self) -> str:
-        if not self.holds:
-            return f"refuted-at({self.refuted_at})"
-        return "empirical" if self.conjectural else HOLDS
+        return "empirical" if self.holds and self.conjectural else super().status
 
     def describe(self) -> str:
         return (
             f"S({self.a}N+{self.b}) == S({self.c}N+{self.d}) (mod {self.M}): "
             f"{self.status}, tested_to={self.tested_to}"
-        )
-
-    def as_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "b": self.b,
-                "c": self.c,
-                "d": self.d,
-                "M": self.M,
-                "tested_to": self.tested_to,
-                "support": self.support,
-                "status": self.status,
-            }
         )
 
 
@@ -283,7 +262,8 @@ def scan(
     results = []
     for m in mods:
         mask = base % m == 0
-        for a in range(1, max_a + 1):
+        # past step (n - 1) // (min_support - 1) no column has min_support indices
+        for a in range(1, min(max_a, (n - 1) // (min_support - 1)) + 1):
             # column b of the k-by-a block holds indices b, b+a, ...; the
             # first rem columns have one more index in the tail
             k, rem = divmod(n, a)

@@ -61,6 +61,18 @@ def test_triple_as_json_round_trips():
         "A": 32, "B": 31, "M": 16,
         "tested_to": 124, "support": 125, "status": "holds-so-far",
     }
+    # dict equality ignores order; the report prints keys in this order
+    assert list(decoded) == ["A", "B", "M", "tested_to", "support", "status"]
+
+
+def test_internal_as_json_keeps_key_order():
+    ic = InternalCongruence(256, 123, 64, 31, 32, conjectural=True, tested_to=14)
+    decoded = json.loads(ic.as_json())
+    assert decoded == {
+        "a": 256, "b": 123, "c": 64, "d": 31, "M": 32,
+        "tested_to": 14, "support": 15, "status": "empirical",
+    }
+    assert list(decoded) == ["a", "b", "c", "d", "M", "tested_to", "support", "status"]
 
 
 def test_internal_validation():
@@ -86,6 +98,10 @@ def test_check_internal_conjectured_report_empirical(residues4k):
         got = check_internal(ic, residues4k)
         assert got.conjectural
         assert got.status == "empirical"
+    # a refutation outranks the conjectural flag
+    bogus = check_internal(InternalCongruence(2, 1, 1, 0, 16, conjectural=True), residues4k)
+    assert bogus.status == f"refuted-at({bogus.refuted_at})"
+    assert "refuted-at" in bogus.describe()
 
 
 def test_check_internal_negative_control(residues4k):
@@ -185,6 +201,27 @@ def test_scan_tests_the_last_partial_row():
     got = scan(8, [2], table)
     assert got == _triples_that_hold(8, [2], table, MIN_SUPPORT_FLOOR)
     assert (3, 0, 2) not in {(t.A, t.B, t.M) for t in got}
+
+
+def test_scan_stops_at_the_last_reportable_step(monkeypatch):
+    # 2,000 zeros: step A has a column of min_support indices only while
+    # A <= 1999 // (min_support - 1), i.e. A <= 105 at the floor of 20
+    table = Series(mod_ring(2), (0,) * 2000)
+    steps = []
+
+    def counting_divmod(n, a):
+        steps.append(a)
+        return divmod(n, a)
+
+    monkeypatch.setattr(cong, "divmod", counting_divmod, raising=False)
+    got = scan(1000, [2], table)
+    assert steps == list(range(1, 106))
+    assert max(t.A for t in got) == 105
+    assert [t.B for t in got if t.A == 105] == [0, 1, 2, 3, 4]
+    assert got == _triples_that_hold(105, [2], table, MIN_SUPPORT_FLOOR)
+    assert scan(10**6, [2], table) == got
+    wide = scan(1000, [2], table, min_support=100)
+    assert max(t.A for t in wide) == 1999 // 99 == 20
 
 
 def test_scan_to_json_lines(residues4k):

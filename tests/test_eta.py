@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from qdissect import dissect, eta
 from qdissect.eta import (
@@ -111,6 +112,17 @@ def test_parse_nesting_bound():
     with pytest.raises(ParseError) as info:
         parse("(" * (depth + 1) + "f1" + ")" * (depth + 1))
     assert info.value.offset == depth
+
+
+@seed(20231)
+@settings(max_examples=1500, deadline=None, database=None)
+@given(st.text(alphabet="fq0123456789^*/+-() \t", max_size=40))
+def test_parse_fuzz_raises_only_value_errors(text):
+    # ParseError is a ValueError; anything else escaping is a parser bug
+    try:
+        parse(text)
+    except ValueError:
+        pass
 
 
 def test_render_round_trip():

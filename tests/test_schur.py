@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import qdissect
 from qdissect import cli, schur
@@ -228,6 +229,42 @@ def test_load_table_refuses_old_format(tmp_path):
         fh.write(b"SCHS1" + (1).to_bytes(8, "little") + bytes([1, 0, 0, 0, 1, 0]))
     with pytest.raises(ValueError, match="SCHS1; delete the file"):
         schur.load_table(path)
+
+
+@pytest.fixture(scope="module")
+def saved_cache(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cache") / "table.bin"
+    table = schur.s_series(60)
+    schur.save_table(str(path), table)
+    return path.read_bytes(), table, str(path.with_name("variant.bin"))
+
+
+def _cache_variants(data: bytes):
+    """Truncations, one flipped byte, trailing bytes, random bytes after the
+    magic and random bytes, of the saved cache `data`."""
+    n = len(data)
+    flip = st.tuples(st.integers(0, n - 1), st.integers(1, 255))
+    return st.one_of(
+        st.integers(0, n - 1).map(lambda k: data[:k]),
+        flip.map(lambda p: data[: p[0]] + bytes([data[p[0]] ^ p[1]]) + data[p[0] + 1 :]),
+        st.binary(min_size=1, max_size=64).map(lambda tail: data + tail),
+        st.binary(max_size=2 * n).map(lambda body: schur.CACHE_MAGIC + body),
+        st.binary(max_size=2 * n),
+    )
+
+
+@seed(20232)
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.data())
+def test_load_table_fuzz_refuses_or_returns_the_saved_table(saved_cache, data):
+    good, table, path = saved_cache
+    with open(path, "wb") as fh:
+        fh.write(data.draw(_cache_variants(good)))
+    try:
+        got = schur.load_table(path)
+    except ValueError:
+        return
+    assert got == table
 
 
 def test_cache_round_trip(tmp_path):

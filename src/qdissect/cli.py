@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import lcm
 
@@ -20,7 +19,6 @@ from .series import Series, ZZ, mod_ring
 
 DEFAULT_PRECISION = 500
 DEFAULT_TABLE_SIZE = 40_000
-CACHE_ENV = "QDISSECT_CACHE"
 
 
 def _check_sizes(args: argparse.Namespace) -> None:
@@ -29,16 +27,6 @@ def _check_sizes(args: argparse.Namespace) -> None:
         raise ValueError("precision must be at least 8")
     if getattr(args, "table_size", 1) < 1:
         raise ValueError("table size must be positive")
-
-
-def _cache_path(flag: str | None) -> str | None:
-    """The exact-table cache for `dump-table`, the one reader of
-    QDISSECT_CACHE: the variable wins over --cache, and a note on stderr
-    names the file used when the two differ."""
-    env = os.environ.get(CACHE_ENV) or None
-    if env and flag and env != flag:
-        print(f"note: {CACHE_ENV} overrides --cache; using {env}", file=sys.stderr)
-    return env or flag
 
 
 def _ring(args: argparse.Namespace):
@@ -146,7 +134,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_table(args: argparse.Namespace) -> int:
-    cache = _cache_path(args.cache)
     if args.save and args.mod is not None:
         raise ValueError("--save stores exact values; drop --mod")
     if args.count is not None and args.count < 0:
@@ -154,7 +141,7 @@ def cmd_dump_table(args: argparse.Namespace) -> int:
     if args.mod is not None:
         table = schur.residue_table(args.table_size, args.mod)
     else:
-        table = schur.s_series(args.table_size, cache)
+        table = schur.s_series(args.table_size, args.cache)
     if args.save:
         schur.save_table(args.save, table)
         print(f"saved {table.precision} values to {args.save}")

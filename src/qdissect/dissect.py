@@ -115,7 +115,7 @@ def root_series(name: str, ring: RingSpec, precision: int) -> Series:
         return schur.residue_table(precision, ring.modulus)
     if name == "negq":
         f1 = eta.expand_eta(1, precision, ring)
-        return Series.make(ring, precision, lambda i: -f1[i] if i % 2 else f1[i])
+        return Series.of(ring, (-c if i % 2 else c for i, c in enumerate(f1.coeffs)))
     raise ValueError(f"unknown root series {name!r}")
 
 

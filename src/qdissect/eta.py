@@ -350,7 +350,8 @@ def expand_expression(expr: EtaExpression, precision: int, ring: RingSpec = ZZ) 
         raise ValueError("precision must be at least 1")
     total = Series.zero(ring, precision)
     for t in expr.terms:
-        piece = expand_quotient(t.quotient, precision, ring)
-        piece = (t.coeff * piece).mul_qpow(t.qpow)
-        total = total + piece.truncate(precision)
+        # q^qpow * quotient needs only precision - qpow terms of the quotient
+        if t.qpow < precision:
+            piece = expand_quotient(t.quotient, precision - t.qpow, ring)
+            total = total + (t.coeff * piece).mul_qpow(t.qpow)
     return total

@@ -37,7 +37,8 @@ _PART_RESIDUES = (0, 1, 5)
 _BLOCK_CAP = 1 << 11
 _FFT_BLOCK_CAP = 1 << 14
 
-CACHE_MAGIC = b"SCHS2"
+CACHE_MAGIC = b"SCHS3"
+CACHE_HEADER = struct.Struct("<QI")  # value count, bytes per value
 _DIGEST_SIZE = 32  # SHA-256 of the payload, after it
 
 
@@ -123,14 +124,14 @@ def _root_table(n: int, m: int | None) -> np.ndarray:
 
 
 def s_series(precision: int, cache_path: str | None = None) -> Series:
-    """Exact S(0..precision-1). Given a cache file, reads it first and
-    rebuilds and rewrites it only when it is shorter than `precision`."""
+    """Exact S(0..precision-1). Given a cache file, reads its prefix first
+    and rebuilds and rewrites it only when it is shorter than `precision`."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     if cache_path and os.path.exists(cache_path):
-        cached = load_table(cache_path)
-        if cached.precision >= precision:
-            return cached.truncate(precision)
+        cached = load_table(cache_path, precision)
+        if cached.precision == precision:
+            return cached
     table = Series(ZZ, tuple(_root_table(precision, None).tolist()))
     if cache_path:
         save_table(cache_path, table)
@@ -156,16 +157,15 @@ def residue_table(precision: int, m: int) -> Series:
 
 
 def save_table(path: str, table: Series) -> None:
-    """Little-endian cache: magic, then a payload of u64 count and per value
-    u32 length + magnitude + sign, then the payload's SHA-256. Written to a
-    temp file renamed over `path`: a failed write keeps the old file, and
-    its OSError names `path`, not the temp file."""
-    parts = [struct.pack("<Q", table.precision)]
-    for v in table.coeffs:
-        mag = abs(v)
-        raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
-        parts += (struct.pack("<I", len(raw)), raw, b"\x01" if v < 0 else b"\x00")
-    payload = b"".join(parts)
+    """Little-endian cache: magic, then a payload of u64 count, u32 width
+    and each value as `width` bytes of two's complement, then the payload's
+    SHA-256. Written to a temp file renamed over `path`: a failed write
+    keeps the old file, and its OSError names `path`, not the temp file."""
+    coeffs = table.coeffs
+    width = max(map(int.bit_length, coeffs)) // 8 + 1  # room for the sign bit
+    payload = CACHE_HEADER.pack(len(coeffs), width) + b"".join(
+        int.to_bytes(v, width, "little", signed=True) for v in coeffs
+    )
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -182,38 +182,38 @@ def save_table(path: str, table: Series) -> None:
         raise
 
 
-def load_table(path: str) -> Series:
+def load_table(path: str, precision: int | None = None) -> Series:
+    """The cached table, or only its first `precision` values when it holds
+    more; the checksum covers the whole payload either way. The file's size
+    must match its header exactly, so a bad count allocates nothing."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data.startswith(b"SCHS1"):
-        raise ValueError(f"{path}: old table cache format SCHS1; delete the file to rebuild it")
-    if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+    magic = data[: len(CACHE_MAGIC)]
+    if magic in (b"SCHS1", b"SCHS2"):
+        raise ValueError(
+            f"{path}: old table cache format {magic.decode()}; delete the file to rebuild it"
+        )
+    if magic != CACHE_MAGIC:
         raise ValueError(f"{path}: not a table cache (bad magic)")
-    off = len(CACHE_MAGIC)
-    values = []
-    try:
-        (count,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        for _ in range(count):
-            (n,) = struct.unpack_from("<I", data, off)
-            off += 4
-            mag = int.from_bytes(data[off : off + n], "little")
-            off += n
-            sign = data[off]
-            off += 1
-            values.append(-mag if sign else mag)
-    except (struct.error, IndexError):
-        raise ValueError(f"{path}: truncated table cache") from None
-    if not values:
-        raise ValueError(f"{path}: empty table cache")
-    digest = data[off:]
-    if len(digest) < _DIGEST_SIZE:
+    start = len(CACHE_MAGIC) + CACHE_HEADER.size
+    if len(data) < start:
         raise ValueError(f"{path}: truncated table cache")
-    if len(digest) > _DIGEST_SIZE:
+    count, width = CACHE_HEADER.unpack_from(data, len(CACHE_MAGIC))
+    if not count or not width:  # zero-width values would pass any count
+        raise ValueError(f"{path}: empty table cache")
+    end = start + count * width
+    if len(data) < end + _DIGEST_SIZE:
+        raise ValueError(f"{path}: truncated table cache")
+    if len(data) > end + _DIGEST_SIZE:
         raise ValueError(f"{path}: trailing bytes in table cache")
-    if hashlib.sha256(data[len(CACHE_MAGIC) : off]).digest() != digest:
+    view = memoryview(data)
+    if hashlib.sha256(view[len(CACHE_MAGIC) : end]).digest() != data[end:]:
         raise ValueError(f"{path}: table cache checksum mismatch")
-    return Series(ZZ, tuple(values))
+    stop = end if precision is None else min(end, start + precision * width)
+    return Series(ZZ, tuple(
+        int.from_bytes(view[i : i + width], "little", signed=True)
+        for i in range(start, stop, width)
+    ))
 
 
 def oracle_part_count(n: int) -> int:
@@ -289,11 +289,3 @@ def oracle_schur_overpartitions(n: int) -> int:
         for cls in _smallest_part_classes(w):
             total += extend(n - w, w, cls)
     return total
-
-
-def oracle_mismatches(limit: int) -> list[int]:
-    """n <= limit where the combinatorial oracle disagrees with s_series."""
-    table = s_series(limit + 1)
-    return [
-        n for n in range(limit + 1) if oracle_schur_overpartitions(n) != table[n]
-    ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import decimal
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -235,12 +234,6 @@ class Series:
     def __post_init__(self) -> None:
         if len(self.coeffs) < 1:
             raise ValueError("a series carries at least one coefficient")
-
-    @classmethod
-    def make(cls, ring: RingSpec, precision: int, coeff_fn: Callable[[int], int]) -> "Series":
-        if precision < 1:
-            raise ValueError("precision must be at least 1")
-        return cls.of(ring, (coeff_fn(n) for n in range(precision)))
 
     @classmethod
     def of(cls, ring: RingSpec, coeffs) -> "Series":

@@ -1,11 +1,10 @@
 import json
-import struct
 import sys
 
 import pytest
 
 from qdissect import congruences, eta, schur
-from qdissect.cli import CACHE_ENV, main
+from qdissect.cli import main
 
 
 def run(capsys, *argv):
@@ -185,6 +184,11 @@ def test_oracle_agreement(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 11
     assert lines[5] == "n=5 oracle=2 table=2 ok"
+    # the oracle's whole range agrees with the table
+    code, out, _ = run(capsys, "oracle", "--limit", "40")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 41
+    assert all(line.endswith(" ok") for line in lines)
 
 
 def test_oracle_limit_cap(capsys):
@@ -211,7 +215,6 @@ def test_dump_table_save_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "dump-table", "--table-size", "32", "--save", path)
     assert code == 0
     assert "saved 32 values" in out
-    from qdissect import schur
     assert schur.load_table(path).precision == 32
 
 
@@ -222,63 +225,50 @@ def test_dump_table_save_rejects_mod(capsys, tmp_path):
     assert code == 2
 
 
-def test_cache_env_wins_over_flag(capsys, tmp_path, monkeypatch):
-    from qdissect import schur
-    env_path = str(tmp_path / "env.bin")
-    flag_path = str(tmp_path / "flag.bin")
-    schur.save_table(env_path, schur.s_series(50))
-    monkeypatch.setenv(CACHE_ENV, env_path)
-    code, out, err = run(capsys, "dump-table", "--table-size", "40",
-                       "--count", "3", "--cache", flag_path)
-    assert code == 0
-    assert out.splitlines() == ["0 1", "1 1", "2 1"]
-    assert err == f"note: {CACHE_ENV} overrides --cache; using {env_path}\n"
-    import os
-    assert not os.path.exists(flag_path)  # env cache served the request
-    # no note when both name the same file
-    code, _, err = run(capsys, "dump-table", "--table-size", "40",
-                       "--count", "3", "--cache", env_path)
-    assert (code, err) == (0, "")
-
-
-def test_dump_table_truncated_cache_exits_2(capsys, tmp_path, monkeypatch):
-    from qdissect import schur
-    monkeypatch.delenv(CACHE_ENV, raising=False)
+def test_dump_table_truncated_cache_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.bin"
     schur.save_table(str(path), schur.s_series(40))
     whole = path.read_bytes()
-    header = len(schur.CACHE_MAGIC) + 8
-    huge_count = schur.CACHE_MAGIC + struct.pack("<Q", 2**64 - 1) + whole[header:30]
+    head = len(schur.CACHE_MAGIC)
+    _, width = schur.CACHE_HEADER.unpack_from(whole, head)
+    body = whole[head + schur.CACHE_HEADER.size :]
+    huge_count = schur.CACHE_MAGIC + schur.CACHE_HEADER.pack(2**64 - 1, width) + body
     for payload in (whole[:50], huge_count):
         path.write_bytes(payload)
         code, out, err = run(capsys, "dump-table", "--table-size", "30", "--cache", str(path))
         assert (code, out, err) == (2, "", f"error: {path}: truncated table cache\n")
 
 
-def test_dump_table_empty_cache_exits_2(capsys, tmp_path, monkeypatch):
-    from qdissect import schur
-    monkeypatch.delenv(CACHE_ENV, raising=False)
+def test_dump_table_empty_cache_exits_2(capsys, tmp_path):
     path = tmp_path / "empty.bin"
-    path.write_bytes(schur.CACHE_MAGIC + struct.pack("<Q", 0))
+    path.write_bytes(schur.CACHE_MAGIC + schur.CACHE_HEADER.pack(0, 1))
     code, out, err = run(capsys, "dump-table", "--table-size", "30", "--cache", str(path))
     assert (code, out, err) == (2, "", f"error: {path}: empty table cache\n")
 
 
-def test_verify_ignores_cache_env(capsys, tmp_path, monkeypatch):
-    # only dump-table reads QDISSECT_CACHE: verify leaves a corrupt file
-    # alone, and dump-table still refuses it
-    path = tmp_path / "flipped.bin"
+def _flip_first_value(data: bytes) -> bytes:
+    at = len(schur.CACHE_MAGIC) + schur.CACHE_HEADER.size
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda data: data + b"\0", "trailing bytes in table cache", id="trailing"),
+    pytest.param(_flip_first_value, "table cache checksum mismatch", id="flipped"),
+    pytest.param(lambda data: b"SCHS1" + data[len(schur.CACHE_MAGIC) :],
+                 "old table cache format SCHS1; delete the file to rebuild it", id="schs1"),
+    pytest.param(lambda data: b"SCHS2" + data[len(schur.CACHE_MAGIC) :],
+                 "old table cache format SCHS2; delete the file to rebuild it", id="schs2"),
+])
+def test_dump_table_bad_cache_exits_2(capsys, tmp_path, corrupt, message):
+    # the file is refused and left as it is: dump-table neither rebuilds nor
+    # rewrites a cache it cannot read
+    path = tmp_path / "bad.bin"
     schur.save_table(str(path), schur.s_series(200))
-    data = bytearray(path.read_bytes())
-    data[len(schur.CACHE_MAGIC) + 8 + 4] ^= 1  # magnitude byte of S(0)
-    path.write_bytes(data)
-    monkeypatch.setenv(CACHE_ENV, str(path))
-    code, out, err = run(capsys, "verify", "s-2diss-0", "--precision", "60")
-    assert (code, err) == (0, "")
-    assert out.startswith("PASS s-2diss-0")
-    assert path.read_bytes() == data
-    code, out, err = run(capsys, "dump-table", "--table-size", "30")
-    assert (code, out, err) == (2, "", f"error: {path}: table cache checksum mismatch\n")
+    bad = corrupt(path.read_bytes())
+    path.write_bytes(bad)
+    code, out, err = run(capsys, "dump-table", "--table-size", "30", "--cache", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+    assert path.read_bytes() == bad
 
 
 def test_family_unprintable_member_exits_2_before_any_output(capsys):

@@ -213,3 +213,13 @@ def test_expansion_never_multiplies_by_the_unit(monkeypatch):
         assert got[shapes[0], ring] == Series.one(ring, n)
         assert got[shapes[1], ring] == (f1 * f1 * f1).inv()
         assert got[shapes[2], ring] == f2 * f2 * f2 * f2 * f2
+
+
+def test_shifted_term_past_precision_builds_nothing_longer(monkeypatch):
+    # q^8000000 * f1 vanishes below q^10: no Series longer than the
+    # precision is built, not even a shifted one that would be truncated
+    lengths = []
+    monkeypatch.setattr(Series, "__post_init__", lambda self: lengths.append(self.precision))
+    expr = parse("*".join(["q^1000000"] * 8) + "*f1 + f1")
+    assert expand_expression(expr, 10) == expand_eta(1, 10)
+    assert lengths and max(lengths) == 10

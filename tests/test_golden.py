@@ -50,14 +50,12 @@ def transcript() -> str:
     return "".join(parts)
 
 
-def test_golden_transcript(monkeypatch):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+def test_golden_transcript():
     with open(GOLDEN, encoding="utf-8") as fh:
         expected = fh.read()
     assert transcript() == expected
 
 
 if __name__ == "__main__":
-    os.environ.pop(cli.CACHE_ENV, None)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(transcript())

@@ -22,17 +22,23 @@ coefficients = st.integers(min_value=-(10 ** 9), max_value=10 ** 9)
 moduli = st.integers(min_value=2, max_value=64)
 
 
+def zz_series(n):
+    # one draw per series, not per coefficient: per-coefficient draws took
+    # most of the suites' time
+    return st.lists(coefficients, min_size=n, max_size=n).map(lambda c: Series.of(ZZ, c))
+
+
 @st.composite
 def series_triples(draw):
     n = draw(precisions)
-    pick = lambda: Series.of(ZZ, [draw(coefficients) for _ in range(n)])
+    pick = lambda: draw(zz_series(n))
     return pick(), pick(), pick()
 
 
 @st.composite
 def series_pairs(draw):
     n = draw(precisions)
-    pick = lambda: Series.of(ZZ, [draw(coefficients) for _ in range(n)])
+    pick = lambda: draw(zz_series(n))
     return pick(), pick()
 
 
@@ -109,7 +115,7 @@ def test_inversion_mod_ring(pair, m):
 def test_recombination(data):
     m = data.draw(st.integers(min_value=2, max_value=8))
     n = data.draw(st.integers(min_value=m, max_value=MAX_PRECISION))
-    f = Series.of(ZZ, [data.draw(coefficients) for _ in range(n)])
+    f = data.draw(zz_series(n))
     total = Series.zero(ZZ, n)
     for r in range(m):
         piece = extract(f, m, r).scale_q(m).mul_qpow(r)
@@ -123,8 +129,8 @@ def test_extraction_linearity(data):
     m = data.draw(st.integers(min_value=2, max_value=8))
     r = data.draw(st.integers(min_value=0, max_value=m - 1))
     n = data.draw(st.integers(min_value=m, max_value=MAX_PRECISION))
-    a = Series.of(ZZ, [data.draw(coefficients) for _ in range(n)])
-    b = Series.of(ZZ, [data.draw(coefficients) for _ in range(n)])
+    a = data.draw(zz_series(n))
+    b = data.draw(zz_series(n))
     c = data.draw(coefficients)
     assert extract(a + b, m, r).coeffs == (extract(a, m, r) + extract(b, m, r)).coeffs
     assert extract(c * a, m, r).coeffs == (c * extract(a, m, r)).coeffs

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import qdissect
-from qdissect import cli, schur
+from qdissect import schur
 from qdissect.eta import parse, expand_expression
 from qdissect.series import Series, ZZ, mod_ring
 
@@ -62,7 +63,10 @@ def test_overpartition_oracle_range():
 
 
 def test_oracle_mismatches_empty():
-    assert schur.oracle_mismatches(40) == []
+    table = schur.s_series(41)
+    assert [
+        n for n in range(41) if schur.oracle_schur_overpartitions(n) != table[n]
+    ] == []
 
 
 def test_tables_are_series():
@@ -204,11 +208,15 @@ def test_load_table_rejects_truncated_cache(tmp_path):
 
 
 def test_load_table_rejects_empty_cache(tmp_path):
-    path = str(tmp_path / "empty.bin")
-    with open(path, "wb") as fh:
-        fh.write(schur.CACHE_MAGIC + bytes(8))
+    path = tmp_path / "empty.bin"
+    path.write_bytes(schur.CACHE_MAGIC + bytes(schur.CACHE_HEADER.size))
     with pytest.raises(ValueError, match="empty table cache"):
-        schur.load_table(path)
+        schur.load_table(str(path))
+    # zero-width values: a huge count that fits the size check, checksum intact
+    header = schur.CACHE_HEADER.pack(2**64 - 1, 0)
+    path.write_bytes(schur.CACHE_MAGIC + header + hashlib.sha256(header).digest())
+    with pytest.raises(ValueError, match="empty table cache"):
+        schur.load_table(str(path))
 
 
 def test_load_table_rejects_flipped_byte(tmp_path):
@@ -216,7 +224,7 @@ def test_load_table_rejects_flipped_byte(tmp_path):
     schur.save_table(path, schur.s_series(120))
     with open(path, "rb") as fh:
         data = bytearray(fh.read())
-    data[len(schur.CACHE_MAGIC) + 8 + 4] ^= 1  # magnitude byte of S(0)
+    data[len(schur.CACHE_MAGIC) + schur.CACHE_HEADER.size] ^= 1  # low byte of S(0)
     with open(path, "wb") as fh:
         fh.write(data)
     with pytest.raises(ValueError, match="table cache checksum mismatch"):
@@ -224,11 +232,12 @@ def test_load_table_rejects_flipped_byte(tmp_path):
 
 
 def test_load_table_refuses_old_format(tmp_path):
-    path = str(tmp_path / "old.bin")
-    with open(path, "wb") as fh:
-        fh.write(b"SCHS1" + (1).to_bytes(8, "little") + bytes([1, 0, 0, 0, 1, 0]))
-    with pytest.raises(ValueError, match="SCHS1; delete the file"):
-        schur.load_table(path)
+    path = tmp_path / "old.bin"
+    for magic in (b"SCHS1", b"SCHS2"):
+        path.write_bytes(magic + (1).to_bytes(8, "little") + bytes([1, 0, 0, 0, 1, 0]))
+        want = f"old table cache format {magic.decode()}; delete the file"
+        with pytest.raises(ValueError, match=want):
+            schur.load_table(str(path))
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +285,31 @@ def test_cache_round_trip(tmp_path):
     assert back == t
 
 
+def test_cache_round_trip_past_the_int_str_limit(tmp_path):
+    # values are never converted through str: 2^16000 - 1 has 4,817 digits,
+    # past the default int/str limit and the CI run's 640; its bit length is
+    # a multiple of 8, so the width needs its extra byte for the sign bit
+    path = str(tmp_path / "big.bin")
+    big = Series(ZZ, (2**16_000 - 1, -(10**700), 0, -1, 255, -256))
+    schur.save_table(path, big)
+    assert schur.load_table(path) == big
+
+
+def test_load_table_reads_a_prefix(tmp_path):
+    path = tmp_path / "table.bin"
+    t = schur.s_series(120)
+    schur.save_table(str(path), t)
+    for k in (1, 7, 119, 120):
+        assert schur.load_table(str(path), k) == t.truncate(k)
+    assert schur.load_table(str(path), 500) == t
+    # the checksum still covers the values past the prefix
+    data = bytearray(path.read_bytes())
+    data[-schur._DIGEST_SIZE - 1] ^= 1
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="checksum mismatch"):
+        schur.load_table(str(path), 7)
+
+
 def test_failed_save_keeps_previous_cache(tmp_path):
     path = str(tmp_path / "table.bin")
     schur.save_table(path, schur.s_series(120))
@@ -290,23 +324,12 @@ def test_failed_save_keeps_previous_cache(tmp_path):
 
 
 def test_s_series_uses_cache_prefix(tmp_path):
-    path = str(tmp_path / "table.bin")
-    schur.save_table(path, schur.s_series(100))
-    t = schur.s_series(60, cache_path=path)
-    assert t == schur.load_table(path).truncate(60)
-    assert [t[n] for n in range(21)] == FIRST_21
-
-
-def test_s_series_ignores_cache_env(tmp_path, monkeypatch):
-    # only the command line reads QDISSECT_CACHE; the library neither reads
-    # nor writes the file it names
-    path = tmp_path / "env_table.bin"
-    schur.save_table(str(path), Series(ZZ, (7,) * 64))
+    # a longer cache serves its prefix and is left as it is
+    path = tmp_path / "table.bin"
+    fake = Series(ZZ, tuple(range(100, 200)))
+    schur.save_table(str(path), fake)
     before = path.read_bytes()
-    monkeypatch.setenv(cli.CACHE_ENV, str(path))
-    t = schur.s_series(50)
-    assert [t[n] for n in range(21)] == FIRST_21
-    assert schur.s_series(100).precision == 100
+    assert schur.s_series(60, cache_path=str(path)) == fake.truncate(60)
     assert path.read_bytes() == before
 
 

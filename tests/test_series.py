@@ -16,7 +16,7 @@ def geometric(precision):
 
 
 def test_make_and_indexing():
-    s = Series.make(ZZ, 5, lambda n: n * n)
+    s = Series.of(ZZ, (n * n for n in range(5)))
     assert s.coeffs == (0, 1, 4, 9, 16)
     assert s.precision == 5
     assert s[3] == 9

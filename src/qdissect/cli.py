@@ -9,6 +9,7 @@ or input errors. Identical invocations print identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from math import lcm
@@ -107,13 +108,9 @@ def cmd_aaw_check(args: argparse.Namespace) -> int:
     pair = aaw.compute_params(args.precision)
     reports = list(aaw.verify_param_identities(pair, args.precision))
     reports.append(aaw.verify_L_identity(args.precision))
-    obstruction = aaw.compute_L(args.l_precision).reduce_mod(16)
-    mm = dissect.compare_series(obstruction, Series.zero(mod_ring(16), args.l_precision))
-    reports.append(
-        dissect.VerificationReport(
-            "l-divisible-by-16", mm is None, args.l_precision, 16, None, mm
-        )
-    )
+    obstruction = dissect.get_record("l-obstruction-mod16")
+    report = dissect.verify_identity(obstruction, args.l_precision)
+    reports.append(dataclasses.replace(report, name="l-divisible-by-16"))
     return _emit(reports, args.json, lambda r: r.passed)
 
 

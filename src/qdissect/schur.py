@@ -29,11 +29,13 @@ from .series import Series, ZZ, mod_ring, _fft_fits, _multiply
 
 _PART_RESIDUES = (0, 1, 5)
 # `_theta_table` doubles its blocks up to the second cap when a block's
-# product fits the float FFT, where longer blocks amortise the per-block
-# slice-adds, else up to the first: on the exact path a product costs more
-# than linear time, and one 2^14 cap for every table measured slower on the
-# exact 40,000-term table (1.34 -> 1.77 s) and on 300,000 terms mod
-# 2^61 - 1 (4.50 -> 4.89 s), medians of 5 runs (BENCH_9.json)
+# product fits the direct float FFT, where longer blocks amortise the
+# per-block slice-adds, else up to the first: the limb form cuts a long
+# product of wide coefficients into row blocks, so its cost grows faster
+# than linearly. One 2^13 cap for every table measured slower on the exact
+# 40,000-term table (0.64 -> 0.84 s) and on 300,000 terms mod 256 (0.16 ->
+# 0.19 s), and 2.33 -> 2.07 s, within the spread of runs, on 300,000 terms
+# mod 2^61 - 1; medians of 5 runs on 2 cores
 _BLOCK_CAP = 1 << 11
 _FFT_BLOCK_CAP = 1 << 14
 

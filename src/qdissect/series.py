@@ -8,16 +8,10 @@ silently. Coefficients over a residue ring are kept reduced to [0, m) by
 
 from __future__ import annotations
 
-import decimal
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-# Exact products whose min(len(a), len(b)) * slot bits reach this run on
-# decimal, smaller ones on int: from 2^18 on, decimal won at every operand
-# shape measured. The tests lower it to reach the decimal path.
-_DEC_MIN_BITS = 1 << 18
 # Products whose exact coefficients stay below this run on one float64 FFT
 # (53-bit mantissa), over ZZ and Z/m alike. Near this bound its rounding
 # errors reach about 0.1 on random operands and 0.3 when every coefficient
@@ -27,16 +21,9 @@ _FFT_MAX = 1 << 50
 # Products whose shorter operand has fewer terms than this take the exact
 # path: below it, the int64 conversions and the FFT cost more than packing.
 _FFT_MIN_LEN = 32
-_DEC_CHUNK = 512  # slots per digit string when packing and unpacking
-
-# every arithmetic step in this context is exact or raises (Inexact,
-# Rounded); only the floor in `_dec_unpack` rounds, on purpose
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
-           decimal.DivisionByZero, decimal.Overflow],
-)
-_DEC_ONE = decimal.Decimal(1)
+# The most limbs of both operands that one FFT of the limb form takes;
+# longer operands are cut into row blocks, which bounds the FFT's memory
+_LIMB_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -71,8 +58,19 @@ def _pack(coeffs, nb: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _int_product(a, b, n_out: int, bound: int) -> list[int]:
-    # slots of 8*nb bits, read back with a bias so the buffer is nonnegative
+def _convolve(a, b, n_out: int) -> list[int]:
+    """Truncated integer convolution by Kronecker substitution, the exact path.
+
+    Packs both vectors into one int each, with slots of 8*nb bits wide
+    enough that no product coefficient can reach a neighbouring slot,
+    multiplies once and reads the slots back, with a bias so the buffer is
+    nonnegative. Exact for any signed coefficients.
+    """
+    max_a = max(map(abs, a))
+    max_b = max(map(abs, b))
+    if max_a == 0 or max_b == 0:  # slots sized by the bound hold neither
+        return [0] * n_out
+    bound = min(len(a), len(b)) * max_a * max_b
     nb = bound.bit_length() // 8 + 1
     half = 1 << (8 * nb - 1)
     z = _pack(a, nb) * _pack(b, nb)
@@ -83,82 +81,6 @@ def _int_product(a, b, n_out: int, bound: int) -> list[int]:
         int.from_bytes(buf[k * nb : (k + 1) * nb], "little") - half
         for k in range(n_out)
     ]
-
-
-def _dec_pack(coeffs, d: int) -> decimal.Decimal:
-    """Evaluate a vector with |c| < 10**d / 2 at 10**d, exactly.
-
-    Slots are carry-normalised to digits in [0, 10**d) from the bottom up
-    (a negative slot borrows one from the next), so one digit string per
-    chunk of slots suffices; a final borrow subtracts 10**(d*len).
-    """
-    base = 10**d
-    acc = decimal.Decimal(0)
-    borrow = 0
-    for lo in range(0, len(coeffs), _DEC_CHUNK):
-        digits = []
-        for c in coeffs[lo : lo + _DEC_CHUNK]:
-            c -= borrow
-            borrow = c < 0
-            digits.append(c + base if borrow else c)
-        chunk = decimal.Decimal("".join([f"{x:0{d}d}" for x in reversed(digits)]))
-        acc = _EXACT.add(acc, chunk.scaleb(lo * d, _EXACT))
-    if borrow:
-        acc = _EXACT.subtract(acc, _DEC_ONE.scaleb(len(coeffs) * d, _EXACT))
-    return acc
-
-
-def _dec_unpack(z: decimal.Decimal, d: int, n_out: int) -> list[int]:
-    """The low n_out slots of z = sum c_k 10**(d*k) with |c_k| < 10**d / 2.
-
-    Floor division by 10**(d*chunk) peels off nonnegative digit strings
-    from the bottom; a digit at or above 10**d / 2 is the slot minus
-    10**d, and the borrow it hides is carried into the next slot.
-    """
-    base = 10**d
-    half = base // 2
-    out = []
-    carry = 0
-    rest = z
-    for lo in range(0, n_out, _DEC_CHUNK):
-        width = min(_DEC_CHUNK, n_out - lo) * d
-        # floor division by 10**width (to_integral_value never signals
-        # Inexact or Rounded); the remainder below is exact
-        high = rest.scaleb(-width, _EXACT).to_integral_value(decimal.ROUND_FLOOR, _EXACT)
-        text = str(_EXACT.subtract(rest, high.scaleb(width, _EXACT))).zfill(width)
-        for i in range(width, 0, -d):
-            x = int(text[i - d : i]) + carry
-            carry = x >= half
-            out.append(x - base if carry else x)
-        rest = high
-    return out
-
-
-def _convolve(a, b, n_out: int) -> list[int]:
-    """Truncated integer convolution by Kronecker substitution.
-
-    Packs both vectors into one number each, with slots wide enough that
-    no product coefficient can reach a neighbouring slot, multiplies once
-    and reads the slots back. Small products pack in binary and multiply
-    as ints; from _DEC_MIN_BITS on they pack in base 10**d and multiply
-    as decimals, whose number-theoretic transform beats int's Karatsuba
-    on large operands. Both are exact for any signed coefficients.
-    """
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
-    if max_a == 0 or max_b == 0:
-        return [0] * n_out
-    bound = min(len(a), len(b)) * max_a * max_b
-    if min(len(a), len(b)) * bound.bit_length() < _DEC_MIN_BITS:
-        return _int_product(a, b, n_out, bound)
-    # 10**d > 2 * bound (30103 / 10**5 > log10(2)), so every slot is balanced
-    d = -(-(2 * bound).bit_length() * 30103 // 10**5)
-    # slots convert through str and int, which refuse more digits than this
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and d > limit:
-        return _int_product(a, b, n_out, bound)
-    pa = _dec_pack(a, d)
-    return _dec_unpack(_EXACT.multiply(pa, pa if b is a else _dec_pack(b, d)), d, n_out)
 
 
 def _fft_product(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray | None:
@@ -187,31 +109,104 @@ def _fft_fits(n: int, top_a: int, top_b: int) -> bool:
     return n * top_a * top_b < _FFT_MAX
 
 
+def _limbs(x, k: int, w: int, stride: int) -> np.ndarray:
+    """Row i holds x_i = sum_s row[s] * 2**(8*w*s) in k limbs of w bytes,
+    the low ones in [0, 2**(8*w)) and the top one signed, then zeros up to
+    `stride` columns."""
+    by = np.zeros((len(x), stride, 8), np.uint8)
+    raw = b"".join(c.to_bytes(k * w, "little", signed=True) for c in x)
+    by[:, :k, :w] = np.frombuffer(raw, np.uint8).reshape(len(x), k, w)
+    rows = by.view("<i8")[:, :, 0]
+    top = rows[:, k - 1]
+    top -= (top >> (8 * w - 1)) << (8 * w)
+    return rows
+
+
+def _limb_product(a, b, n_out: int) -> list[int] | None:
+    """The exact product on the float FFT, each coefficient split into
+    signed limbs of w bytes: ka per coefficient of a, kb of b. Rows of
+    limbs at stride K = ka + kb - 1 keep the product of limbs s and t of
+    a_i and b_j alone in slot (i + j) * K + s + t. Operands of more than
+    _LIMB_BUDGET limbs together are cut into row blocks, whose products
+    add up in int64. w is the widest for which each block product passes
+    the FFT gate and each summed slot stays below 2^62, with room for the
+    carries that then bring every slot but a row's top one back into a
+    limb. None when no w passes or the residual check refuses a block.
+    """
+    n = min(len(a), len(b))
+    top_a = max(map(abs, a))
+    top_b = top_a if b is a else max(map(abs, b))
+    for w in range(7, 0, -1):  # int64 holds an unsigned limb of 7 bytes
+        bits = 8 * w
+        ka, kb = (-(-(t.bit_length() + 1) // bits) for t in (top_a, top_b))
+        lim_a = top_a if ka == 1 else (1 << bits) - 1
+        lim_b = top_b if kb == 1 else (1 << bits) - 1
+        stride = ka + kb - 1
+        rows = max(1, _LIMB_BUDGET // (2 * stride))
+        k = min(ka, kb)
+        if _fft_fits(min(n, rows) * k, lim_a, lim_b) and n * k * lim_a * lim_b < 1 << 62:
+            break
+    else:
+        return None
+    pa = _limbs(a, ka, w, stride)
+    pb = pa if b is a else _limbs(b, kb, w, stride)
+    z = np.zeros((n_out, stride), np.int64)
+    slots = z.reshape(-1)
+    for i in range(0, min(len(a), n_out), rows):
+        xa = pa[i : i + rows].reshape(-1)
+        # a square needs only the blocks with j >= i: block (j, i) is (i, j)
+        for j in range(i if b is a else 0, min(len(b), n_out - i), rows):
+            xb = xa if b is a and i == j else pb[j : j + rows].reshape(-1)
+            n_rows = min((len(xa) + len(xb)) // stride - 1, n_out - i - j)
+            block = _fft_product(xa, xb, n_rows * stride)
+            if block is None:
+                return None
+            if b is a and j > i:
+                block *= 2
+            slots[(i + j) * stride : (i + j + n_rows) * stride] += block
+    for s in range(stride - 1):
+        z[:, s + 1] += z[:, s] >> bits
+        z[:, s] &= (1 << bits) - 1
+    # each row's low limbs as w little-endian bytes apiece, row after row
+    low = (
+        z[:, :-1].astype("<i8", copy=False).view(np.uint8)
+        .reshape(n_out, stride - 1, 8)[:, :, :w].tobytes()
+    )
+    step = (stride - 1) * w
+    return [
+        int.from_bytes(low[k * step : (k + 1) * step], "little") + (t << (bits * (stride - 1)))
+        for k, t in enumerate(z[:, -1].tolist())
+    ]
+
+
 def _multiply(a, b, n_out: int, m: int | None) -> list[int]:
     """The one product of coefficient vectors (sequences of ints or integer
     arrays): exact over ZZ (m is None), reduced into [0, m) over Z/m.
 
     Every product coefficient is at most min(len) * max|a| * max|b|. When
     both operands convert to int64 and that bound is below _FFT_MAX, the
-    float FFT runs; an unreduced Z/m operand just gives a larger bound. Any
-    product the FFT does not vouch for, short products and moduli from
-    _FFT_MAX on take the exact path.
+    float FFT runs on them directly; an unreduced Z/m operand just gives a
+    larger bound. Other products of at least _FFT_MIN_LEN terms, moduli
+    from _FFT_MAX on among them, run it on limbs. Short products and any
+    product the FFT refuses take the exact path.
     """
     n = min(len(a), len(b))
-    if n >= _FFT_MIN_LEN and (m is None or m < _FFT_MAX):
+    direct = False
+    if n >= _FFT_MIN_LEN:
         try:
             xa = np.asarray(a, dtype=np.int64)
             xb = xa if b is a else np.asarray(b, dtype=np.int64)
+            direct = (m is None or m < _FFT_MAX) and _fft_fits(n, _max_abs(xa), _max_abs(xb))
         except OverflowError:
             pass
-        else:
-            if _fft_fits(n, _max_abs(xa), _max_abs(xb)):
-                out = _fft_product(xa, xb, n_out)
-                if out is not None:
-                    return (out if m is None else np.remainder(out, m, out=out)).tolist()
-    # the exact path packs Python ints
+        out = _fft_product(xa, xb, n_out) if direct else None
+        if out is not None:
+            return (out if m is None else np.remainder(out, m, out=out)).tolist()
+    # the limb form and the exact path read Python ints
     a, b = (x.tolist() if isinstance(x, np.ndarray) else x for x in (a, b))
-    out = _convolve(a, b, n_out)
+    out = _limb_product(a, b, n_out) if n >= _FFT_MIN_LEN and not direct else None
+    if out is None:
+        out = _convolve(a, b, n_out)
     return out if m is None else [c % m for c in out]
 
 

@@ -7,7 +7,6 @@ the carry, sign and truncation paths thoroughly.
 
 import math
 import random
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -70,15 +69,14 @@ def fft_pairs(draw):
 @settings(max_examples=1000, deadline=None)
 @given(series_pairs(), moduli, fft_pairs())
 def test_fast_multiply_matches_schoolbook(pair, m, small):
-    # with the decimal crossover at 0, the ZZ pair's products whose bound
-    # passes 2^50 (most, at coefficients up to 10^9) take the decimal path
-    # (the other suites cover the int path); the small ZZ pair takes the
-    # float FFT, and the Z/m pair takes it from _FFT_MIN_LEN terms on and
-    # the int path below
+    # from _FFT_MIN_LEN terms on, the ZZ pair's products whose bound
+    # passes 2^50 (most, at coefficients up to 10^9) take the limb form and
+    # the others the direct FFT; shorter ones take the exact path. The
+    # small ZZ pair takes the direct FFT, and the Z/m pair takes it from
+    # _FFT_MIN_LEN terms on and the exact path below
     a, b = pair
     n = min(a.precision, b.precision)
-    with mock.patch.object(series, "_DEC_MIN_BITS", 0):
-        assert list((a * b).coeffs) == _schoolbook(a.coeffs, b.coeffs, n)
+    assert list((a * b).coeffs) == _schoolbook(a.coeffs, b.coeffs, n)
     ra, rb = a.reduce_mod(m), b.reduce_mod(m)
     want = [c % m for c in _schoolbook(ra.coeffs, rb.coeffs, n)]
     assert list((ra * rb).coeffs) == want

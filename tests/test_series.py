@@ -174,8 +174,8 @@ def test_equal_series_compare_equal():
     assert a != Series.of(ZZ, [1, 3])
 
 
-# -- the multiply paths: int and decimal Kronecker, and the float FFT that
-# both rings take when the exact coefficient bound allows it
+# -- the multiply paths: the float FFT, directly on int64 operands or on
+# limbs of larger coefficients, and binary Kronecker as the exact path
 
 
 def _spy(monkeypatch, name):
@@ -184,12 +184,6 @@ def _spy(monkeypatch, name):
     fn = getattr(series, name)
     monkeypatch.setattr(series, name, lambda *a: calls.append(1) or fn(*a))
     return calls
-
-
-def _int_path(a, b, n_out, monkeypatch):
-    with monkeypatch.context() as mp:
-        mp.setattr(series, "_DEC_MIN_BITS", float("inf"))
-        return series._convolve(a, b, n_out)
 
 
 def _signed(rng, n, bits):
@@ -203,63 +197,117 @@ def _signed(rng, n, bits):
         (10_000, 10_000, 100, 10_000),
         (3_000, 2_000, 200, 2_000),  # unequal lengths
         (2_000, 3_000, 150, 2_000),
-        (2_000, 2_000, 300, 1_500),  # fewer slots out than in
-        (4_000, 2_100, 120, 4_000),  # reads slots past the shorter operand
+        (2_000, 2_000, 300, 1_500),  # fewer rows out than in
+        (4_000, 2_100, 120, 4_000),  # reads rows past the shorter operand
     ],
 )
-def test_decimal_product_matches_int_path(monkeypatch, len_a, len_b, bits, n_out):
+def test_limb_product_matches_exact_path(monkeypatch, len_a, len_b, bits, n_out):
     rng = random.Random(len_a * bits + n_out)
     a, b = _signed(rng, len_a, bits), _signed(rng, len_b, bits)
-    dec = _spy(monkeypatch, "_dec_pack")
-    got = series._convolve(a, b, n_out)
-    assert dec, "the product is above the crossover"
-    assert got == _int_path(a, b, n_out, monkeypatch)
+    limb = _spy(monkeypatch, "_limb_product")
+    exact = _spy(monkeypatch, "_convolve")
+    got = series._multiply(a, b, n_out, None)
+    assert (len(limb), len(exact)) == (1, 0)
+    assert got == series._convolve(a, b, n_out)
 
 
-def test_decimal_path_squares_with_one_packing(monkeypatch):
+def test_limb_path_squares_with_one_split(monkeypatch):
     a = _signed(random.Random(7), 2_000, 200)
-    dec = _spy(monkeypatch, "_dec_pack")
+    split = _spy(monkeypatch, "_limbs")
     f = Series.of(ZZ, a)
-    assert (f * f).coeffs == tuple(_int_path(a, a, 2_000, monkeypatch))
-    assert len(dec) == 1
+    assert (f * f).coeffs == tuple(series._convolve(a, a, 2_000))
+    assert len(split) == 1
 
 
-def test_decimal_product_with_zero_operand(monkeypatch):
-    monkeypatch.setattr(series, "_DEC_MIN_BITS", 0)
+def test_limb_product_with_zero_operand(monkeypatch):
     big = Series.of(ZZ, _signed(random.Random(3), 2_000, 300))
+    limb = _spy(monkeypatch, "_limb_product")
     assert (big * Series.zero(ZZ, 2_000)).coeffs == (0,) * 2_000
     assert (Series.zero(ZZ, 2_000) * big).coeffs == (0,) * 2_000
+    assert len(limb) == 2
+    # the exact path too: slots sized by a zero bound could not hold big
+    assert series._convolve(big.coeffs[:20], (0,) * 20, 39) == [0] * 39
 
 
-def test_inverse_on_the_decimal_path(monkeypatch):
-    # 1/f2^3 to 4,000 terms: its Newton steps reach the decimal path
+def test_inverse_on_the_limb_path(monkeypatch):
+    # 1/f2^3 to 4,000 terms: its Newton steps reach the limb form
     f = expand_eta(2, 4_000) ** 3
-    dec = _spy(monkeypatch, "_dec_pack")
+    limb = _spy(monkeypatch, "_limb_product")
     got = f.inv()
-    assert dec
+    assert limb
     assert (f * got) == Series.one(ZZ, 4_000)
     with monkeypatch.context() as mp:
-        mp.setattr(series, "_DEC_MIN_BITS", float("inf"))
+        mp.setattr(series, "_limb_product", lambda *a: None)
         assert got == f.inv()
 
 
-@pytest.mark.parametrize("d", [1, 2, 40])
-def test_decimal_slots_at_the_extremes_across_chunk_edges(d):
-    # slots of +-(10^d/2 - 1) are the widest a d-digit slot holds; runs of
-    # them around the 512-slot chunk edges make the borrows and carries cross
-    extreme = 10**d // 2 - 1
-    rng = random.Random(d)
-    chunk = series._DEC_CHUNK
-    n = 2 * chunk + 40
-    edges = set(range(chunk - 6, chunk + 6)) | set(range(2 * chunk - 6, 2 * chunk + 6))
-    c = [rng.choice((-extreme, extreme)) if k in edges else rng.randint(-extreme, extreme) for k in range(n)]
-    vectors = [c, [-extreme] * n, [extreme] * n, [-extreme] + [0] * (n - 1)]
-    for v in vectors:
-        packed = series._dec_pack(v, d)
-        assert series._dec_unpack(packed, d, n) == v
-        for b, want in (([1], v), ([-1], [-x for x in v]), ([0, 1], [0] + v[:-1])):
-            z = series._EXACT.multiply(packed, series._dec_pack(b, d))
-            assert series._dec_unpack(z, d, n) == want
+@pytest.mark.parametrize("w", range(1, 8))
+def test_limbs_at_the_extremes(w):
+    # k limbs of w bytes hold [-2^(8wk-1), 2^(8wk-1)); +-(2^(8wk) - 1) need
+    # a limb more, and int64's ends several. Each row must sum back to its
+    # coefficient, with the low limbs unsigned and the top one signed
+    bits = 8 * w
+    for k in (1, 2, 3):
+        edge = 1 << (bits * k)
+        for values, kk in (
+            ([edge // 2 - 1, -(edge // 2), 0, 1, -1], k),
+            ([edge - 1, -(edge - 1), edge // 2, -(edge // 2) - 1], k + 1),
+            ([-(2**63), 2**64, 2**63 - 1, -(2**64)], -(-66 // bits)),
+        ):
+            rows = series._limbs(values, kk, w, kk + 1)
+            low, top = rows[:, : kk - 1], rows[:, kk - 1]
+            assert not rows[:, kk:].any()
+            assert low.size == 0 or (low.min() >= 0 and low.max() < 1 << bits)
+            assert -(1 << (bits - 1)) <= top.min() <= top.max() < 1 << (bits - 1)
+            assert [sum(int(x) << (bits * s) for s, x in enumerate(r)) for r in rows] == values
+
+
+@pytest.mark.parametrize("budget", [64, series._LIMB_BUDGET])
+def test_limb_products_at_the_extremes_across_block_edges(monkeypatch, budget):
+    # runs of -2^63, 2^64 and +-(2^(8k) - 1) make the carries cross limbs
+    # and, at budget 64, row blocks; products by +-1, by q, by a small
+    # series and the square choose different limb widths
+    monkeypatch.setattr(series, "_LIMB_BUDGET", budget)
+    rng = random.Random(budget)
+    extremes = [-(2**63), 2**64] + [s * ((1 << (8 * k)) - 1) for k in (1, 2, 3, 8, 16) for s in (1, -1)]
+    n = 200
+    a = [rng.choice(extremes) if k % 37 < 6 else rng.randint(-(2**64), 2**64) for k in range(n)]
+    small = [rng.randint(-9, 9) for _ in range(n)]
+    for b in ([1], [-1], [0, 1], small, a):
+        n_out = n if len(b) == 1 else len(b) + 1
+        assert series._limb_product(a, b, n_out) == _schoolbook(a, b, n_out)
+
+
+def test_blocked_limb_product_equals_unblocked(monkeypatch):
+    # with the budget lowered, the same products run as sums of row blocks
+    rng = random.Random(11)
+    a, b = _signed(rng, 300, 500), _signed(rng, 250, 90)
+    want = [series._limb_product(x, y, 300) for x, y in ((a, b), (a, a))]
+    assert want == [_schoolbook(a, b, 300), _schoolbook(a, a, 300)]
+    fft = _spy(monkeypatch, "_fft_product")
+    assert [series._limb_product(x, y, 300) for x, y in ((a, b), (a, a))] == want
+    unblocked = len(fft)
+    monkeypatch.setattr(series, "_LIMB_BUDGET", 1 << 9)
+    assert [series._limb_product(x, y, 300) for x, y in ((a, b), (a, a))] == want
+    assert unblocked == 2 and len(fft) > unblocked + 20
+
+
+def test_limb_residual_failure_reaches_the_exact_path(monkeypatch):
+    rng = random.Random(12)
+    a, b = _signed(rng, 100, 200), _signed(rng, 100, 200)
+    want = series._convolve(a, b, 100)
+    irfft = np.fft.irfft
+
+    def skewed(*args):
+        out = irfft(*args)
+        out[5] += 0.3
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", skewed)
+    limb = _spy(monkeypatch, "_limb_product")
+    exact = _spy(monkeypatch, "_convolve")
+    assert series._multiply(a, b, 100, None) == want
+    assert (len(limb), len(exact)) == (1, 1)
 
 
 @pytest.mark.parametrize("m", [2, 3, 16, 256])
@@ -288,17 +336,23 @@ _EDGES = [(33, (1 << 25) - 1, 1_016_801), (32, 1 << 24, 1 << 21)]
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_fft_gate_on_each_side_of_the_bound(monkeypatch, side):
+    # below the bound the FFT runs on the operands directly, from it on
+    # on their limbs
     n, top_a, top_b = _EDGES[side]
     assert n * top_a * top_b == series._FFT_MAX - 1 + side
     rng = random.Random(side)
     fft = _spy(monkeypatch, "_fft_product")
+    limb = _spy(monkeypatch, "_limb_product")
+    exact = _spy(monkeypatch, "_convolve")
     for ring, signed in ((ZZ, True), (mod_ring(1 << 26), False)):
         a, b = _with_maxima(rng, n, top_a, signed), _with_maxima(rng, n, top_b, signed)
         got = Series.of(ring, a) * Series.of(ring, b)
         assert got == Series.of(ring, _schoolbook(a, b, n))
+    assert (len(fft), len(limb), len(exact)) == (2, 2 * side, 0)
     # long operands with every term at the maximum, n * top^2 just below
     # the bound (side 0) or at or above it: here the FFT's own rounding
-    # error, not a faked one, meets the residual check. Coefficient k of
+    # error, not a faked one, meets the residual check, which refuses the
+    # direct products; limbs of 16 bits keep it far away. Coefficient k of
     # the product is (k + 1) * top^2, times (-1)^k for the alternating pair
     n = 2_000
     top = math.isqrt((series._FFT_MAX - 1) // n) + side
@@ -307,7 +361,7 @@ def test_fft_gate_on_each_side_of_the_bound(monkeypatch, side):
         a = [top * sign**i for i in range(n)]
         got = Series.of(ring, a) * Series.of(ring, a)
         assert got == Series.of(ring, [(k + 1) * top * top * sign**k for k in range(n)])
-    assert len(fft) == (5 if side == 0 else 0)
+    assert (len(fft), len(limb), len(exact)) == (5, 5 * side, 3 - 3 * side)
 
 
 @pytest.mark.parametrize("ring", [ZZ, mod_ring(16)], ids=repr)
@@ -349,47 +403,53 @@ def test_fft_residual_check(monkeypatch, shift, accepted):
     assert len(exact) == (0 if accepted else 1)
 
 
-@pytest.mark.parametrize("bad", [-1, 16, 2**60 + 3, 10**400])
-def test_fft_path_refuses_unreduced_operands(monkeypatch, bad):
+@pytest.mark.parametrize(
+    "bad", [-1, 16, 2**60 + 3, 10**400], ids=["-1", "16", "2^60+3", "10^400"]
+)
+def test_unreduced_operands_still_give_reduced_products(monkeypatch, bad):
     # the constructor does not reduce; the product is still reduced. -1 and
-    # 16 only raise the bound and may take the FFT, while 2^60 + 3 puts it
-    # past _FFT_MAX and 10^400 does not fit int64: both take the exact path
+    # 16 only raise the bound and take the direct FFT, while 2^60 + 3 puts
+    # it past _FFT_MAX and 10^400 does not fit int64: both take limbs
     a = Series(mod_ring(16), (bad, 3) * 50)
     want = tuple(c % 16 for c in _schoolbook(a.coeffs, a.coeffs, 100))
     fft = _spy(monkeypatch, "_fft_product")
+    limb = _spy(monkeypatch, "_limb_product")
     exact = _spy(monkeypatch, "_convolve")
     assert (a * a).coeffs == want
-    assert bool(exact) == (bad > 16)
-    assert bool(fft) == (bad <= 16)
+    assert (len(fft), len(limb), len(exact)) == (1, int(bad > 16), 0)
 
 
 @pytest.mark.parametrize(
     "extreme", [-(2**63), 2**63 - 1, 2**63], ids=["int64-min", "int64-max", "past-int64"]
 )
-def test_int64_extremes_take_the_exact_path(monkeypatch, extreme):
+def test_int64_extremes_take_the_limb_path(monkeypatch, extreme):
     # np.abs(-2^63) is -2^63 in int64, and 2^63 does not convert at all;
-    # the bound must see both as huge and leave them to the exact path
+    # the bound must see both as huge and leave them to the limb form
     rng = random.Random(5)
     a = [rng.randint(-9, 9) for _ in range(40)]
     a[7] = extreme
     b = [rng.randint(-9, 9) for _ in range(40)]
-    fft = _spy(monkeypatch, "_fft_product")
+    limb = _spy(monkeypatch, "_limb_product")
+    exact = _spy(monkeypatch, "_convolve")
     for m in (None, 16):
         got = series._multiply(a, b, 40, m)
         want = _schoolbook(a, b, 40)
         assert got == (want if m is None else [c % m for c in want])
     assert series._multiply(a, a, 40, None) == _schoolbook(a, a, 40)
-    assert not fft
+    assert (len(limb), len(exact)) == (3, 0)
 
 
-def test_modulus_from_the_fft_bound_on_takes_the_exact_path(monkeypatch):
-    # an FFT result is reduced in int64, which cannot hold this modulus;
-    # the operands are tiny (and one unreduced), so only m keeps the FFT out
+def test_modulus_from_the_fft_bound_on_takes_the_limb_path(monkeypatch):
+    # a direct FFT result is reduced in int64, which cannot hold this
+    # modulus; the limb form returns Python ints, reduced as such. The
+    # operands are tiny (and one unreduced), so only m keeps them off the
+    # direct form
     m = 2**64 + 13
     a = Series(mod_ring(m), (-1, 2, 3) * 20)
-    fft = _spy(monkeypatch, "_fft_product")
+    limb = _spy(monkeypatch, "_limb_product")
+    exact = _spy(monkeypatch, "_convolve")
     assert (a * a).coeffs == tuple(c % m for c in _schoolbook(a.coeffs, a.coeffs, 60))
-    assert not fft
+    assert (len(limb), len(exact)) == (1, 0)
 
 
 def test_inverse_mod_m_on_the_fft_path(monkeypatch):
@@ -401,26 +461,21 @@ def test_inverse_mod_m_on_the_fft_path(monkeypatch):
     assert fft
 
 
-def test_decimal_digit_limit_gate(monkeypatch):
-    # 20 terms of about 20,000 bits: above the crossover, with slots of
-    # about 12,000 digits, past the default int/str limit of 4,300
+def test_long_coefficients_under_the_lowest_str_digit_limit():
+    # 40 terms of about 20,000 bits (over 6,000 digits) on the limb form:
+    # no multiply step may convert through str, whose limit refuses them
     rng = random.Random(4)
-    a, b = _signed(rng, 20, 20_000), _signed(rng, 20, 20_000)
-    want = _int_path(a, b, 20, monkeypatch)
-    dec = _spy(monkeypatch, "_dec_pack")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    assert series._convolve(a, b, 20) == want
-    assert bool(dec) == (limit == 0)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(640)
-        try:
-            assert series._convolve(a, b, 20) == want
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert bool(dec) == (limit == 0)
-        sys.set_int_max_str_digits(0)
-        try:
-            assert series._convolve(a, b, 20) == want
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert dec
+    a, b = _signed(rng, 40, 20_000), _signed(rng, 40, 20_000)
+    want = _schoolbook(a, b, 40)
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:  # Python before 3.11 has no limit
+        assert series._multiply(a, b, 40, None) == want
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert series._multiply(a, b, 40, None) == want
+        assert series._multiply(a[:20], b[:20], 20, None) == want[:20]
+        assert series._multiply(a, b, 40, 2**61 - 1) == [c % (2**61 - 1) for c in want]
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -29,13 +29,13 @@ from .series import Series, ZZ, mod_ring, _fft_fits, _multiply
 
 _PART_RESIDUES = (0, 1, 5)
 # `_theta_table` doubles its blocks up to the second cap when a block's
-# product fits the direct float FFT, where longer blocks amortise the
-# per-block slice-adds, else up to the first: the limb form cuts a long
-# product of wide coefficients into row blocks, so its cost grows faster
-# than linearly. One 2^13 cap for every table measured slower on the exact
-# 40,000-term table (0.64 -> 0.84 s) and on 300,000 terms mod 256 (0.16 ->
-# 0.19 s), and 2.33 -> 2.07 s, within the spread of runs, on 300,000 terms
-# mod 2^61 - 1; medians of 5 runs on 2 cores
+# product takes one limb per coefficient, where longer blocks amortise the
+# per-block slice-adds, else up to the first: split into more limbs, a long
+# product of wide coefficients is cut into row blocks, so its cost grows
+# faster than linearly. One 2^13 cap for every table measured slower on
+# the exact 40,000-term table (0.64 -> 0.84 s) and on 300,000 terms mod 256
+# (0.16 -> 0.19 s), and 2.33 -> 2.07 s, within the spread of runs, on
+# 300,000 terms mod 2^61 - 1; medians of 5 runs on 2 cores
 _BLOCK_CAP = 1 << 11
 _FFT_BLOCK_CAP = 1 << 14
 
@@ -155,7 +155,8 @@ def residue_table(precision: int, m: int) -> Series:
         raise ValueError("residue tables support moduli below 2^62")
     else:
         vals = _theta_table(precision, m)
-    return Series(mod_ring(m), tuple(vals.tolist()))
+    # a uint8 table reads as Python ints from its bytes, without a list copy
+    return Series(mod_ring(m), tuple(vals.tobytes() if vals.dtype == np.uint8 else vals.tolist()))
 
 
 def save_table(path: str, table: Series) -> None:
@@ -248,18 +249,8 @@ DIFFERENCE_MATRIX: dict[tuple[str, str], int] = {
 _CLASSES = ("1bar", "2bar", "3bar", "3")
 
 
-def _smallest_part_classes(w: int):
-    if w % 3 == 1:
-        if w % 6 == 1:
-            yield "1bar"
-    elif w % 3 == 2:
-        if w % 6 == 2:
-            yield "2bar"
-    else:
-        if w % 6 == 3:
-            yield "3bar"
-        if w % 6 == 0:
-            yield "3"
+# the class of a smallest part w by w mod 6; residues 4 and 5 admit none
+_SMALLEST_PART_CLASS = ("3", "1bar", "2bar", "3bar", None, None)
 
 
 def oracle_schur_overpartitions(n: int) -> int:
@@ -288,6 +279,7 @@ def oracle_schur_overpartitions(n: int) -> int:
 
     total = 0
     for w in range(1, n + 1):
-        for cls in _smallest_part_classes(w):
+        cls = _SMALLEST_PART_CLASS[w % 6]
+        if cls:
             total += extend(n - w, w, cls)
     return total

@@ -21,8 +21,8 @@ _FFT_MAX = 1 << 50
 # Products whose shorter operand has fewer terms than this take the exact
 # path: below it, the int64 conversions and the FFT cost more than packing.
 _FFT_MIN_LEN = 32
-# The most limbs of both operands that one FFT of the limb form takes;
-# longer operands are cut into row blocks, which bounds the FFT's memory
+# The most limbs one FFT of the limb form takes past one limb each: longer
+# operands are cut into row blocks, which bounds the FFT's memory
 _LIMB_BUDGET = 1 << 17
 
 
@@ -99,79 +99,91 @@ def _fft_product(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray | None:
     return r.astype(np.int64)
 
 
-def _max_abs(x: np.ndarray) -> int:
-    # as Python ints: np.abs wraps -2^63 to itself
-    return max(int(x.max()), -int(x.min()))
-
-
 def _fft_fits(n: int, top_a: int, top_b: int) -> bool:
     # the one FFT gate: n * max|a| * max|b| bounds every product coefficient
     return n * top_a * top_b < _FFT_MAX
 
 
+def _operand(x):
+    # x as int64 when every coefficient fits, else as Python ints; max|x|
+    try:
+        x = np.asarray(x, dtype=np.int64)
+    except OverflowError:  # an object array too lists its Python ints
+        return list(x), max(map(abs, x))
+    return x, max(int(x.max()), -int(x.min()))  # np.abs wraps -2^63
+
+
 def _limbs(x, k: int, w: int, stride: int) -> np.ndarray:
     """Row i holds x_i = sum_s row[s] * 2**(8*w*s) in k limbs of w bytes,
     the low ones in [0, 2**(8*w)) and the top one signed, then zeros up to
-    `stride` columns."""
+    `stride` columns; an int64 array splits by shifts, Python ints by bytes."""
+    bits = 8 * w
+    if isinstance(x, np.ndarray):  # a shift by 63 leaves the sign, as any longer one
+        rows = np.zeros((len(x), stride), np.int64)
+        rows[:, :k] = x[:, None] >> np.minimum(np.arange(0, bits * k, bits), 63)
+        rows[:, : k - 1] &= (1 << bits) - 1
+        return rows
     by = np.zeros((len(x), stride, 8), np.uint8)
     raw = b"".join(c.to_bytes(k * w, "little", signed=True) for c in x)
     by[:, :k, :w] = np.frombuffer(raw, np.uint8).reshape(len(x), k, w)
     rows = by.view("<i8")[:, :, 0]
-    top = rows[:, k - 1]
-    top -= (top >> (8 * w - 1)) << (8 * w)
+    rows[:, k - 1] -= (rows[:, k - 1] >> (bits - 1)) << bits
     return rows
 
 
-def _limb_product(a, b, n_out: int) -> list[int] | None:
+def _limb_product(a, b, n_out: int) -> np.ndarray | list[int] | None:
     """The exact product on the float FFT, each coefficient split into
     signed limbs of w bytes: ka per coefficient of a, kb of b. Rows of
     limbs at stride K = ka + kb - 1 keep the product of limbs s and t of
-    a_i and b_j alone in slot (i + j) * K + s + t. Operands of more than
-    _LIMB_BUDGET limbs together are cut into row blocks, whose products
-    add up in int64. w is the widest for which each block product passes
-    the FFT gate and each summed slot stays below 2^62, with room for the
-    carries that then bring every slot but a row's top one back into a
-    limb. None when no w passes or the residual check refuses a block.
+    a_i and b_j alone in slot (i + j) * K + s + t. At K = 1 the limbs are
+    the int64 operands themselves, multiplied unblocked into int64. Else
+    operands of more than _LIMB_BUDGET limbs together are cut into row
+    blocks, whose products add up in int64, and Python ints come back. w
+    is the widest for which each block product passes the FFT gate and
+    each summed slot stays below 2^62, with room for the carries that then
+    bring every slot but a row's top one back into a limb. None when no w
+    passes or the residual check refuses a block.
     """
+    square = b is a
     n = min(len(a), len(b))
-    top_a = max(map(abs, a))
-    top_b = top_a if b is a else max(map(abs, b))
+    a, top_a = _operand(a)
+    b, top_b = (a, top_a) if square else _operand(b)
     for w in range(7, 0, -1):  # int64 holds an unsigned limb of 7 bytes
         bits = 8 * w
         ka, kb = (-(-(t.bit_length() + 1) // bits) for t in (top_a, top_b))
         lim_a = top_a if ka == 1 else (1 << bits) - 1
         lim_b = top_b if kb == 1 else (1 << bits) - 1
         stride = ka + kb - 1
-        rows = max(1, _LIMB_BUDGET // (2 * stride))
+        rows = n if stride == 1 else max(1, _LIMB_BUDGET // (2 * stride))
         k = min(ka, kb)
         if _fft_fits(min(n, rows) * k, lim_a, lim_b) and n * k * lim_a * lim_b < 1 << 62:
             break
     else:
         return None
+    if stride == 1:
+        return _fft_product(a, b, n_out)
     pa = _limbs(a, ka, w, stride)
-    pb = pa if b is a else _limbs(b, kb, w, stride)
+    pb = pa if square else _limbs(b, kb, w, stride)
     z = np.zeros((n_out, stride), np.int64)
     slots = z.reshape(-1)
     for i in range(0, min(len(a), n_out), rows):
         xa = pa[i : i + rows].reshape(-1)
         # a square needs only the blocks with j >= i: block (j, i) is (i, j)
-        for j in range(i if b is a else 0, min(len(b), n_out - i), rows):
-            xb = xa if b is a and i == j else pb[j : j + rows].reshape(-1)
+        for j in range(i if square else 0, min(len(b), n_out - i), rows):
+            xb = xa if square and i == j else pb[j : j + rows].reshape(-1)
             n_rows = min((len(xa) + len(xb)) // stride - 1, n_out - i - j)
             block = _fft_product(xa, xb, n_rows * stride)
             if block is None:
                 return None
-            if b is a and j > i:
+            if square and j > i:
                 block *= 2
             slots[(i + j) * stride : (i + j + n_rows) * stride] += block
     for s in range(stride - 1):
         z[:, s + 1] += z[:, s] >> bits
         z[:, s] &= (1 << bits) - 1
     # each row's low limbs as w little-endian bytes apiece, row after row
-    low = (
-        z[:, :-1].astype("<i8", copy=False).view(np.uint8)
-        .reshape(n_out, stride - 1, 8)[:, :, :w].tobytes()
-    )
+    low = z[:, :-1].astype("<i8", copy=False).view(np.uint8)
+    low = low.reshape(n_out, stride - 1, 8)[:, :, :w].tobytes()
     step = (stride - 1) * w
     return [
         int.from_bytes(low[k * step : (k + 1) * step], "little") + (t << (bits * (stride - 1)))
@@ -183,30 +195,18 @@ def _multiply(a, b, n_out: int, m: int | None) -> list[int]:
     """The one product of coefficient vectors (sequences of ints or integer
     arrays): exact over ZZ (m is None), reduced into [0, m) over Z/m.
 
-    Every product coefficient is at most min(len) * max|a| * max|b|. When
-    both operands convert to int64 and that bound is below _FFT_MAX, the
-    float FFT runs on them directly; an unreduced Z/m operand just gives a
-    larger bound. Other products of at least _FFT_MIN_LEN terms, moduli
-    from _FFT_MAX on among them, run it on limbs. Short products and any
-    product the FFT refuses take the exact path.
+    Products whose shorter operand has at least _FFT_MIN_LEN terms run on
+    the checked float FFT in limb form, an unreduced Z/m operand on wider
+    limbs; short products and any the FFT refuses take the exact path.
     """
-    n = min(len(a), len(b))
-    direct = False
-    if n >= _FFT_MIN_LEN:
-        try:
-            xa = np.asarray(a, dtype=np.int64)
-            xb = xa if b is a else np.asarray(b, dtype=np.int64)
-            direct = (m is None or m < _FFT_MAX) and _fft_fits(n, _max_abs(xa), _max_abs(xb))
-        except OverflowError:
-            pass
-        out = _fft_product(xa, xb, n_out) if direct else None
-        if out is not None:
-            return (out if m is None else np.remainder(out, m, out=out)).tolist()
-    # the limb form and the exact path read Python ints
-    a, b = (x.tolist() if isinstance(x, np.ndarray) else x for x in (a, b))
-    out = _limb_product(a, b, n_out) if n >= _FFT_MIN_LEN and not direct else None
+    out = _limb_product(a, b, n_out) if min(len(a), len(b)) >= _FFT_MIN_LEN else None
     if out is None:
+        a, b = (x.tolist() if isinstance(x, np.ndarray) else x for x in (a, b))
         out = _convolve(a, b, n_out)
+    elif isinstance(out, np.ndarray):  # one limb each: |out| < _FFT_MAX
+        if m is not None and m < _FFT_MAX:
+            return np.remainder(out, m, out=out).tolist()
+        out = out.tolist()
     return out if m is None else [c % m for c in out]
 
 

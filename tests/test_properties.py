@@ -70,10 +70,10 @@ def fft_pairs(draw):
 @given(series_pairs(), moduli, fft_pairs())
 def test_fast_multiply_matches_schoolbook(pair, m, small):
     # from _FFT_MIN_LEN terms on, the ZZ pair's products whose bound
-    # passes 2^50 (most, at coefficients up to 10^9) take the limb form and
-    # the others the direct FFT; shorter ones take the exact path. The
-    # small ZZ pair takes the direct FFT, and the Z/m pair takes it from
-    # _FFT_MIN_LEN terms on and the exact path below
+    # passes 2^50 (most, at coefficients up to 10^9) are split into several
+    # limbs and the others keep one limb per coefficient; shorter ones take
+    # the exact path. The small ZZ pair keeps one limb, and the Z/m pair
+    # does from _FFT_MIN_LEN terms on and takes the exact path below
     a, b = pair
     n = min(a.precision, b.precision)
     assert list((a * b).coeffs) == _schoolbook(a.coeffs, b.coeffs, n)

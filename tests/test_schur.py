@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import qdissect
-from qdissect import schur
+from qdissect import schur, series
 from qdissect.eta import parse, expand_expression
 from qdissect.series import Series, ZZ, mod_ring
 
@@ -351,3 +351,20 @@ def test_s_series_writes_cache_when_missing(tmp_path):
 
 def test_public_names_resolve():
     assert all(hasattr(qdissect, name) for name in qdissect.__all__)
+
+
+@pytest.mark.parametrize("m", [16, 9, 2**61 - 1], ids=["16", "9", "2^61-1"])
+def test_residue_table_holds_python_ints(m):
+    # numpy scalars compare equal to ints, but json.dumps refuses them
+    assert all(type(c) is int for c in schur.residue_table(500, m).coeffs)
+
+
+def test_wide_modulus_blocks_reach_the_split_as_int64(monkeypatch):
+    # the mod 2^61 - 1 table's blocks are split by shifts as int64 arrays,
+    # never through Python ints
+    kinds = []
+    limbs = series._limbs
+    monkeypatch.setattr(series, "_limbs", lambda x, *a: kinds.append(getattr(x, "dtype", None)) or limbs(x, *a))
+    m = 2**61 - 1
+    assert schur._theta_table(3000, m).tolist() == [v % m for v in schur._euler_exact(3000)]
+    assert kinds and set(kinds) == {np.dtype(np.int64)}

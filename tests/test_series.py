@@ -255,6 +255,10 @@ def test_limbs_at_the_extremes(w):
             ([-(2**63), 2**64, 2**63 - 1, -(2**64)], -(-66 // bits)),
         ):
             rows = series._limbs(values, kk, w, kk + 1)
+            # the values that fit int64 split by shifts into the same rows
+            fit = [i for i, v in enumerate(values) if -(2**63) <= v < 2**63]
+            shifted = series._limbs(np.array([values[i] for i in fit], np.int64), kk, w, kk + 1)
+            assert shifted.dtype == np.int64 and shifted.tolist() == rows[fit].tolist()
             low, top = rows[:, : kk - 1], rows[:, kk - 1]
             assert not rows[:, kk:].any()
             assert low.size == 0 or (low.min() >= 0 and low.max() < 1 << bits)
@@ -336,23 +340,24 @@ _EDGES = [(33, (1 << 25) - 1, 1_016_801), (32, 1 << 24, 1 << 21)]
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_fft_gate_on_each_side_of_the_bound(monkeypatch, side):
-    # below the bound the FFT runs on the operands directly, from it on
-    # on their limbs
+    # below the bound the FFT runs on one limb per coefficient, the
+    # operands themselves; from it on the operands are split into limbs
     n, top_a, top_b = _EDGES[side]
     assert n * top_a * top_b == series._FFT_MAX - 1 + side
     rng = random.Random(side)
     fft = _spy(monkeypatch, "_fft_product")
     limb = _spy(monkeypatch, "_limb_product")
+    split = _spy(monkeypatch, "_limbs")
     exact = _spy(monkeypatch, "_convolve")
     for ring, signed in ((ZZ, True), (mod_ring(1 << 26), False)):
         a, b = _with_maxima(rng, n, top_a, signed), _with_maxima(rng, n, top_b, signed)
         got = Series.of(ring, a) * Series.of(ring, b)
         assert got == Series.of(ring, _schoolbook(a, b, n))
-    assert (len(fft), len(limb), len(exact)) == (2, 2 * side, 0)
+    assert (len(fft), len(limb), len(split), len(exact)) == (2, 2, 4 * side, 0)
     # long operands with every term at the maximum, n * top^2 just below
     # the bound (side 0) or at or above it: here the FFT's own rounding
     # error, not a faked one, meets the residual check, which refuses the
-    # direct products; limbs of 16 bits keep it far away. Coefficient k of
+    # one-limb products; limbs of 16 bits keep it far away. Coefficient k of
     # the product is (k + 1) * top^2, times (-1)^k for the alternating pair
     n = 2_000
     top = math.isqrt((series._FFT_MAX - 1) // n) + side
@@ -361,7 +366,8 @@ def test_fft_gate_on_each_side_of_the_bound(monkeypatch, side):
         a = [top * sign**i for i in range(n)]
         got = Series.of(ring, a) * Series.of(ring, a)
         assert got == Series.of(ring, [(k + 1) * top * top * sign**k for k in range(n)])
-    assert (len(fft), len(limb), len(exact)) == (5, 5 * side, 3 - 3 * side)
+    # two operands split per product at side 1, none at side 0
+    assert (len(fft), len(limb), len(split), len(exact)) == (5, 5, 10 * side, 3 - 3 * side)
 
 
 @pytest.mark.parametrize("ring", [ZZ, mod_ring(16)], ids=repr)
@@ -408,15 +414,17 @@ def test_fft_residual_check(monkeypatch, shift, accepted):
 )
 def test_unreduced_operands_still_give_reduced_products(monkeypatch, bad):
     # the constructor does not reduce; the product is still reduced. -1 and
-    # 16 only raise the bound and take the direct FFT, while 2^60 + 3 puts
-    # it past _FFT_MAX and 10^400 does not fit int64: both take limbs
+    # 16 only raise the bound and keep one limb per coefficient, while
+    # 2^60 + 3 puts it past _FFT_MAX and 10^400 does not fit int64: both
+    # are split into limbs
     a = Series(mod_ring(16), (bad, 3) * 50)
     want = tuple(c % 16 for c in _schoolbook(a.coeffs, a.coeffs, 100))
     fft = _spy(monkeypatch, "_fft_product")
     limb = _spy(monkeypatch, "_limb_product")
+    split = _spy(monkeypatch, "_limbs")
     exact = _spy(monkeypatch, "_convolve")
     assert (a * a).coeffs == want
-    assert (len(fft), len(limb), len(exact)) == (1, int(bad > 16), 0)
+    assert (len(fft), len(limb), len(split), len(exact)) == (1, 1, int(bad > 16), 0)
 
 
 @pytest.mark.parametrize(
@@ -424,32 +432,34 @@ def test_unreduced_operands_still_give_reduced_products(monkeypatch, bad):
 )
 def test_int64_extremes_take_the_limb_path(monkeypatch, extreme):
     # np.abs(-2^63) is -2^63 in int64, and 2^63 does not convert at all;
-    # the bound must see both as huge and leave them to the limb form
+    # the bound must see each as huge and split a into several limbs (and
+    # b with it: both share the stride), by shifts once a fits int64
     rng = random.Random(5)
     a = [rng.randint(-9, 9) for _ in range(40)]
     a[7] = extreme
     b = [rng.randint(-9, 9) for _ in range(40)]
     limb = _spy(monkeypatch, "_limb_product")
+    split = _spy(monkeypatch, "_limbs")
     exact = _spy(monkeypatch, "_convolve")
     for m in (None, 16):
         got = series._multiply(a, b, 40, m)
         want = _schoolbook(a, b, 40)
         assert got == (want if m is None else [c % m for c in want])
     assert series._multiply(a, a, 40, None) == _schoolbook(a, a, 40)
-    assert (len(limb), len(exact)) == (3, 0)
+    assert (len(limb), len(split), len(exact)) == (3, 5, 0)
 
 
 def test_modulus_from_the_fft_bound_on_takes_the_limb_path(monkeypatch):
-    # a direct FFT result is reduced in int64, which cannot hold this
-    # modulus; the limb form returns Python ints, reduced as such. The
-    # operands are tiny (and one unreduced), so only m keeps them off the
-    # direct form
+    # a one-limb product is reduced in int64 only below _FFT_MAX; int64
+    # cannot hold this modulus, so the tiny operands (one unreduced) keep
+    # one limb each and their product is reduced as Python ints
     m = 2**64 + 13
     a = Series(mod_ring(m), (-1, 2, 3) * 20)
     limb = _spy(monkeypatch, "_limb_product")
+    split = _spy(monkeypatch, "_limbs")
     exact = _spy(monkeypatch, "_convolve")
     assert (a * a).coeffs == tuple(c % m for c in _schoolbook(a.coeffs, a.coeffs, 60))
-    assert (len(limb), len(exact)) == (1, 0)
+    assert (len(limb), len(split), len(exact)) == (1, 0, 0)
 
 
 def test_inverse_mod_m_on_the_fft_path(monkeypatch):

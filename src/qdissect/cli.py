@@ -23,9 +23,10 @@ DEFAULT_TABLE_SIZE = 40_000
 
 
 def _check_sizes(args: argparse.Namespace) -> None:
-    precision = getattr(args, "precision", None)
-    if precision is not None and precision < 8:
-        raise ValueError("precision must be at least 8")
+    for flag in ("precision", "l_precision"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 8:
+            raise ValueError(f"{flag.replace('_', '-')} must be at least 8")
     if getattr(args, "table_size", 1) < 1:
         raise ValueError("table size must be positive")
 

@@ -71,17 +71,20 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     """S(0..n-1), mod m unless m is None, from theta * S = 1 in blocks.
 
     The build resumes after `known`, a prefix of the same table. Given S
-    on [0, h), the block [h, h+b) with b <= h is -S[:b] * r truncated to
-    b terms, where r[i] sums the terms theta_e S[h+i-e] with e > i, which
-    reach below h; both factors go to the multiply as arrays. Residues are
-    stored in uint8 when m <= 256, else int64 (never uint64, which mixed
-    with int64 gives float64), and accumulate in int64: |r[i]| <
-    len(terms) * m when that is below 2^63, else r is folded into [0, m)
-    after each theta term, so |r +- v| < 2m < 2^63. Exact tables
-    accumulate in Python ints.
+    on [0, h), the block [h, h+b) with b <= h is S[:b] * r truncated to b
+    terms, where r[i] = -sum theta_e S[h+i-e] over the terms e > i, which
+    reach below h. Residues are stored in uint8 when m <= 256, else int64
+    (never uint64, which mixed with int64 gives float64); r sums them in
+    int64 and is folded into [0, m) after every period-th theta term, so
+    |r| < (period + 1) * m <= 2^63 - 1. A modulus with no period, m >=
+    2^62, is refused before any allocation. Exact tables sum Python ints;
+    their period, n, is never reached.
     """
-    terms = [  # (e, ±) for theta's terms below q^n after theta_0, increasing
-        (e, np.subtract if k % 2 else np.add)
+    period = n if m is None else ((1 << 63) - 1) // m - 1
+    if period < 1:
+        raise ValueError("residue tables support moduli below 2^62")
+    terms = [  # (e, ∓) for -theta's terms below q^n after theta_0, increasing
+        (e, np.add if k % 2 else np.subtract)
         for k in range(1, isqrt(n) + 1)
         for e in (3 * k * k - 2 * k, 3 * k * k + 2 * k)
         if e < n
@@ -89,7 +92,6 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     fft = m is not None and _fft_fits(_FFT_BLOCK_CAP, m - 1, m - 1)
     cap = _FFT_BLOCK_CAP if fft else _BLOCK_CAP
     acc = object if m is None else np.int64
-    fold = m is not None and len(terms) * m >= 1 << 63
     store = object if m is None else np.uint8 if m <= 256 else np.int64
     v = np.zeros(n, dtype=store)
     h = len(known)
@@ -97,14 +99,13 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     while h < n:
         b = min(h, cap, n - h)
         r = np.zeros(b, dtype=acc)
-        for e, op in terms:
+        for j, (e, op) in enumerate(terms, 1):
             if e >= h + b:
                 break
             lo, hi = max(0, e - h), min(b, e)
             op(r[lo:hi], v[h + lo - e : h + hi - e], out=r[lo:hi])
-            if fold:
-                np.remainder(r[lo:hi], m, out=r[lo:hi])
-        np.negative(r, out=r)
+            if j % period == 0:
+                np.remainder(r, m, out=r)
         if m is not None:
             np.remainder(r, m, out=r)
         v[h : h + b] = _multiply(v[:b], r, b, m)
@@ -151,8 +152,6 @@ def residue_table(precision: int, m: int) -> Series:
         vals = _root_table(precision, 256)
         if m < 256:  # np.uint8 cannot hold 256
             vals = vals % np.uint8(m)
-    elif m >= 1 << 62:
-        raise ValueError("residue tables support moduli below 2^62")
     else:
         vals = _theta_table(precision, m)
     # a uint8 table reads as Python ints from its bytes, without a list copy

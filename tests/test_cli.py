@@ -27,6 +27,11 @@ def test_dump_table_zero_table_size_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: table size must be positive\n")
 
 
+def test_dump_table_modulus_from_2_62_exits_2(capsys):
+    code, out, err = run(capsys, "dump-table", "--mod", str(2**62))
+    assert (code, out, err) == (2, "", "error: residue tables support moduli below 2^62\n")
+
+
 def test_expand_example(capsys):
     code, out, _ = run(capsys, "expand", "f2*f3/(f1*f6^2)", "--precision", "8")
     assert code == 0
@@ -49,6 +54,11 @@ def test_expand_low_precision_exits_2(capsys):
     code, _, err = run(capsys, "expand", "f1", "--precision", "4")
     assert code == 2
     assert "at least 8" in err
+
+
+def test_aaw_check_low_l_precision_exits_2(capsys):
+    code, out, err = run(capsys, "aaw-check", "--l-precision", "3")
+    assert (code, out, err) == (2, "", "error: l-precision must be at least 8\n")
 
 
 def test_dissect_root_progression(capsys):

@@ -82,11 +82,35 @@ def test_tables_are_series():
     "m", [2, 3, 9, 16, 48, 256, 2**61 - 1, 2**62 - 57, 10**12 + 39]
 )
 def test_residue_table_matches_exact_table(exact5k, m):
-    # the builder's int64 accumulator needs no fold while len(terms) * m
-    # < 2^63; the large moduli cross that bound and fold after each term
+    # the builder folds its int64 accumulator after every period-th term,
+    # period = floor((2^63 - 1) / m) - 1: 3 for 2^61 - 1, 1 for 2^62 - 57;
+    # the small moduli never reach a fold
     got = schur.residue_table(5000, m)
     assert got.ring == mod_ring(m)
     assert got.coeffs == tuple(exact5k[n] % m for n in range(5000))
+
+
+@pytest.mark.parametrize("m", [2**62, 2**62 + 1, 2**64], ids=["2^62", "2^62+1", "2^64"])
+def test_residue_table_refuses_moduli_from_2_62_before_allocating(m):
+    # a table of 10^15 terms cannot be allocated, so a ValueError (not a
+    # MemoryError) shows the refusal comes first
+    with pytest.raises(ValueError, match=r"^residue tables support moduli below 2\^62$"):
+        schur.residue_table(10**15, m)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4])
+def test_residue_table_at_each_period_boundary(period):
+    # m is the largest modulus with this period (2^62 - 1 for period 1);
+    # m + 1 has period - 1, refused when that is 0. A period one too long
+    # lets two same-sign theta terms overflow the accumulator at period 1
+    want = schur._euler_exact(3000)
+    m = ((1 << 63) - 1) // (period + 1)
+    for modulus in (m, m + 1):
+        if modulus >= 1 << 62:
+            with pytest.raises(ValueError):
+                schur.residue_table(3000, modulus)
+        else:
+            assert schur.residue_table(3000, modulus).coeffs == tuple(v % modulus for v in want)
 
 
 def test_residue_table_slices_cached_byte_table(monkeypatch):
@@ -134,8 +158,8 @@ def exact40k():
 
 @pytest.mark.parametrize("m", [3, 16, 256, 2**61 - 1])
 def test_residue_table_matches_exact_table_at_40k(exact40k, m):
-    # 2^61 - 1 (about 230 theta terms) folds its accumulator, the others
-    # never need to
+    # 2^61 - 1 (about 230 theta terms, period 3) folds its accumulator,
+    # the others never reach their period
     got = schur.residue_table(40_000, m)
     assert got == exact40k.reduce_mod(m)
 

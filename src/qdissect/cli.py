@@ -51,12 +51,6 @@ def _emit(results: list, as_json: bool, passed) -> int:
     return 0 if all(passed(res) for res in results) else 1
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
-    series = eta.expand_expression(eta.parse(args.expression), args.precision, _ring(args))
-    _print_coeffs(series, args.json)
-    return 0
-
-
 def cmd_dissect(args: argparse.Namespace) -> int:
     steps = dissect.parse_steps(args.steps)
     lhs = dissect.parse_lhs(args.expression)
@@ -132,18 +126,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_table(args: argparse.Namespace) -> int:
-    if args.save and args.mod is not None:
-        raise ValueError("--save stores exact values; drop --mod")
+    if args.cache and args.mod is not None:
+        raise ValueError("--cache holds exact values; drop --mod")
     if args.count is not None and args.count < 0:
         raise ValueError("--count must be nonnegative")
     if args.mod is not None:
         table = schur.residue_table(args.table_size, args.mod)
     else:
         table = schur.s_series(args.table_size, args.cache)
-    if args.save:
-        schur.save_table(args.save, table)
-        print(f"saved {table.precision} values to {args.save}")
-        return 0
     stop = table.precision if args.count is None else min(args.count, table.precision)
     for n in range(stop):
         print(f"{n} {table[n]}")
@@ -162,7 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("expand", cmd_expand, "expand an eta-quotient expression to coefficients")
+    # expand is dissect without trailing steps: one evaluator serves both
+    p = add("expand", cmd_dissect, "expand an eta-quotient expression to coefficients")
+    p.set_defaults(steps=())
     p.add_argument("expression")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--mod", type=int, default=None, help="expand over Z/m instead of Z")
@@ -200,20 +192,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("aaw-check", cmd_aaw_check, "verify the theta parameterization suite")
     p.add_argument("--precision", type=int, default=300)
-    p.add_argument("--l-precision", dest="l_precision", type=int, default=2000,
-                   help="depth of the divisibility-by-16 check")
+    p.add_argument("--l-precision", dest="l_precision", type=int, default=None,
+                   help="depth of the divisibility-by-16 check (default: the record's "
+                   f"own, {dissect.DEFAULT_MOD_PRECISION} terms)")
     p.add_argument("--json", action="store_true")
 
     p = add("oracle", cmd_oracle, "compare the brute-force count against the table")
     p.add_argument("--limit", type=int, default=20, help="largest n to enumerate (max 40)")
     p.add_argument("--json", action="store_true")
 
-    p = add("dump-table", cmd_dump_table, "print or save the count table")
+    p = add("dump-table", cmd_dump_table, "print the count table")
     p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
     p.add_argument("--mod", type=int, default=None, help="dump residues instead of exact values")
     p.add_argument("--count", type=int, default=None, help="print only the first K values")
-    p.add_argument("--cache", default=None, help="exact-table cache file")
-    p.add_argument("--save", default=None, help="write the exact table to a cache file")
+    p.add_argument("--cache", default=None, help="exact-table cache file, read or written")
 
     return parser
 

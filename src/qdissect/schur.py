@@ -83,6 +83,9 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     period = n if m is None else ((1 << 63) - 1) // m - 1
     if period < 1:
         raise ValueError("residue tables support moduli below 2^62")
+    # allocate first: a size too large fails here, before theta's terms
+    store = object if m is None else np.uint8 if m <= 256 else np.int64
+    v = np.zeros(n, dtype=store)
     terms = [  # (e, ∓) for -theta's terms below q^n after theta_0, increasing
         (e, np.add if k % 2 else np.subtract)
         for k in range(1, isqrt(n) + 1)
@@ -92,8 +95,6 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     fft = m is not None and _fft_fits(_FFT_BLOCK_CAP, m - 1, m - 1)
     cap = _FFT_BLOCK_CAP if fft else _BLOCK_CAP
     acc = object if m is None else np.int64
-    store = object if m is None else np.uint8 if m <= 256 else np.int64
-    v = np.zeros(n, dtype=store)
     h = len(known)
     v[:h] = known
     while h < n:

@@ -56,6 +56,29 @@ def test_expand_low_precision_exits_2(capsys):
     assert "at least 8" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["f2*f3/(f1*f6^2)", "--precision", "60"],
+    ["f2*f3/(f1*f6^2)", "--precision", "60", "--mod", "16", "--json"],
+    ["8*q^2*f2*f6^3/f12 + 8*f2^4", "--mod", "7"],
+    ["f1^-3"],
+    ["q^-1"],
+    ["f1", "--precision", "4"],
+], ids=["zz", "mod-json", "sum-mod", "default", "parse-error", "low-precision"])
+def test_expand_is_dissect_without_steps(capsys, args):
+    assert run(capsys, "expand", *args) == run(capsys, "dissect", *args)
+
+
+def test_expand_accepts_a_root(capsys):
+    code, out, err = run(capsys, "expand", "@S 2:1", "--precision", "10")
+    assert (code, out, err) == (0, "1 1 2 4 4 7 12 14 21 32\n", "")
+
+
+def test_aaw_check_l_precision_defaults_to_the_record(capsys):
+    code, out, _ = run(capsys, "aaw-check")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS l-divisible-by-16 (mod 16, precision 2000)"
+
+
 def test_aaw_check_low_l_precision_exits_2(capsys):
     code, out, err = run(capsys, "aaw-check", "--l-precision", "3")
     assert (code, out, err) == (2, "", "error: l-precision must be at least 8\n")
@@ -221,18 +244,28 @@ def test_dump_table_mod(capsys):
 
 
 def test_dump_table_save_round_trip(capsys, tmp_path):
+    # --cache is the one writer: a missing file is built and written
     path = str(tmp_path / "t.bin")
-    code, out, _ = run(capsys, "dump-table", "--table-size", "32", "--save", path)
-    assert code == 0
-    assert "saved 32 values" in out
-    assert schur.load_table(path).precision == 32
+    code, out, _ = run(capsys, "dump-table", "--table-size", "32", "--cache", path, "--count", "0")
+    assert (code, out) == (0, "")
+    assert schur.load_table(path) == schur.s_series(32)
 
 
 def test_dump_table_save_rejects_mod(capsys, tmp_path):
-    path = str(tmp_path / "t.bin")
-    code, _, err = run(capsys, "dump-table", "--table-size", "32",
-                       "--save", path, "--mod", "8")
-    assert code == 2
+    # a cache holds exact values only, so --cache with --mod is refused
+    # before the file is read or written
+    path = tmp_path / "t.bin"
+    code, out, err = run(capsys, "dump-table", "--table-size", "32", "--mod", "8",
+                         "--cache", str(path))
+    assert (code, out, err) == (2, "", "error: --cache holds exact values; drop --mod\n")
+    assert not path.exists()
+
+
+def test_dump_table_save_flag_is_gone(capsys, tmp_path):
+    code, out, err = run(capsys, "dump-table", "--save", str(tmp_path / "t.bin"))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --save" in err
+    assert not (tmp_path / "t.bin").exists()
 
 
 def test_dump_table_truncated_cache_exits_2(capsys, tmp_path):
@@ -310,7 +343,7 @@ def test_family_alpha_ceiling_follows_int_str_limit(capsys):
 
 def test_failed_save_names_the_target_path(capsys, tmp_path):
     target = str(tmp_path / "missing" / "x.bin")
-    argv = ("dump-table", "--table-size", "10", "--save", target)
+    argv = ("dump-table", "--table-size", "10", "--cache", target)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and repr(target) in err

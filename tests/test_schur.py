@@ -98,6 +98,19 @@ def test_residue_table_refuses_moduli_from_2_62_before_allocating(m):
         schur.residue_table(10**15, m)
 
 
+def test_theta_table_allocates_before_deriving_theta(monkeypatch):
+    # a table too large to allocate fails before theta's term list is built
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    calls = []
+    monkeypatch.setattr(schur.np, "zeros", out_of_memory)
+    monkeypatch.setattr(schur, "isqrt", lambda n: calls.append(n) or 0)
+    with pytest.raises(MemoryError):
+        schur._theta_table(10**15, 16)
+    assert calls == []
+
+
 @pytest.mark.parametrize("period", [1, 2, 3, 4])
 def test_residue_table_at_each_period_boundary(period):
     # m is the largest modulus with this period (2^62 - 1 for period 1);

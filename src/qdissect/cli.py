@@ -67,9 +67,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    moduli = sorted({int(m) for m in args.moduli.split(",") if m.strip()})
-    if not moduli:
-        raise ValueError("at least one modulus is required")
+    # every argument is checked before the table is built
+    moduli = congruences.check_scan_args(
+        args.max_a, [m for m in args.moduli.split(",") if m.strip()], args.min_support
+    )
     table = schur.residue_table(args.table_size, lcm(*moduli))
     results = congruences.scan(args.max_a, moduli, table, args.min_support)
     out = congruences.scan_to_json(results)

@@ -7,9 +7,11 @@ only ever means "holds so far" up to the largest testable index; a
 failing one pins the exact index of the counterexample.
 
 The scanner reproduces the search protocol at desk scale: it reduces the
-table mod the lcm of the requested moduli once, then tests all offsets
-of each step A in one vectorised pass and keeps every progression with
-enough testable terms.
+table mod the lcm of the requested moduli once into a bit mask (bit j
+set where the j-th modulus divides the count), then tests all offsets
+of each step A and every modulus in one vectorised pass over the first
+rows, reads the remaining rows only for offsets still alive, and keeps
+every progression with enough testable terms.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ HOLDS = "holds-so-far"
 # Minimum number of testable indices before a scan survivor is worth
 # reporting; progressions with fewer hits near the table end are noise.
 MIN_SUPPORT_FLOOR = 20
+
+# Rows of each step's grid that the scanner reads for every column; the
+# rest is read only for columns still alive after them. On 300,000 terms
+# mod 32 (moduli 8, 16, 32, steps to 3,072), 5,230 columns in 145 steps
+# outlive 32 rows (5,369 after 16, 5,185 after 64). That scan plus one
+# of 25,000 terms mod 9 took, as medians of 11 runs on 2 cores, 0.41 s
+# with a full pass per modulus, 0.13 s with a full pass of the bit mask,
+# and 0.058 / 0.063 / 0.087 s with 16 / 32 / 64 head rows.
+_SCAN_HEAD_ROWS = 32
 
 
 class _Ledger:
@@ -234,6 +245,21 @@ def verify_family(alpha_max: int, table: Series) -> list[FamilyCheck]:
     return out
 
 
+def check_scan_args(max_a: int, moduli, min_support: int) -> list[int]:
+    """The sorted distinct moduli of a scan, once every argument is valid;
+    raises ValueError before any table is needed."""
+    mods = sorted({int(m) for m in moduli})
+    if not mods:
+        raise ValueError("at least one modulus is required")
+    if any(m < 2 for m in mods):
+        raise ValueError("moduli must be at least 2")
+    if min_support < MIN_SUPPORT_FLOOR:
+        raise ValueError(f"min_support must be at least {MIN_SUPPORT_FLOOR}")
+    if max_a < 1:
+        raise ValueError("max_a must be positive")
+    return mods
+
+
 def scan(
     max_a: int,
     moduli,
@@ -245,33 +271,41 @@ def scan(
     Only progressions with at least min_support testable indices are
     reported. Results are sorted by (M descending, A, B).
     """
-    mods = sorted({int(m) for m in moduli})
-    if not mods:
-        raise ValueError("at least one modulus is required")
-    if any(m < 2 for m in mods):
-        raise ValueError("moduli must be at least 2")
-    if min_support < MIN_SUPPORT_FLOOR:
-        raise ValueError(f"min_support must be at least {MIN_SUPPORT_FLOOR}")
-    if max_a < 1:
-        raise ValueError("max_a must be positive")
-
+    mods = check_scan_args(max_a, moduli, min_support)
     # the dtype must hold the modulus itself: NumPy rejects `uint8 % 256`
     modulus = lcm(*mods)
     base = np.array(table.reduce_mod(modulus).coeffs, dtype=np.min_scalar_type(modulus))
     n = len(base)
+    # bit j of bits[i] is set when group[j] divides S(i), eight moduli a byte
+    groups = []
+    for g in range(0, len(mods), 8):
+        group = mods[g : g + 8]
+        bits = np.zeros(n, dtype=np.uint8)
+        for j, m in enumerate(group):
+            bits |= (base % m == 0).view(np.uint8) << j
+        groups.append((group, bits))
     results = []
-    for m in mods:
-        mask = base % m == 0
-        # past step (n - 1) // (min_support - 1) no column has min_support indices
-        for a in range(1, min(max_a, (n - 1) // (min_support - 1)) + 1):
-            # column b of the k-by-a block holds indices b, b+a, ...; the
-            # first rem columns have one more index in the tail
-            k, rem = divmod(n, a)
-            ok = mask[: k * a].reshape(k, a).all(axis=0)
-            ok[:rem] &= mask[k * a :]
-            support = k + (np.arange(a) < rem)
-            for b in np.flatnonzero(ok & (support >= min_support)):
-                results.append(CongruenceTriple(a, int(b), m, tested_to=int(support[b]) - 1))
+    # past step (n - 1) // (min_support - 1) no column has min_support indices
+    for a in range(1, min(max_a, (n - 1) // (min_support - 1)) + 1):
+        # column b of the k-by-a grid holds indices b, b+a, ...; the
+        # first rem columns have one more index in the tail
+        k, rem = divmod(n, a)
+        for group, bits in groups:
+            grid = bits[: k * a].reshape(k, a)
+            alive = np.bitwise_and.reduce(grid[:_SCAN_HEAD_ROWS], axis=0)
+            alive[:rem] &= bits[k * a :]
+            if k < min_support:
+                # the step bound keeps k >= min_support - 1, so only the
+                # first rem columns reach min_support indices
+                alive[rem:] = 0
+            live = np.flatnonzero(alive)
+            if not live.size:
+                continue
+            if k > _SCAN_HEAD_ROWS:
+                alive[live] &= np.bitwise_and.reduce(grid[_SCAN_HEAD_ROWS:, live], axis=0)
+            for j, m in enumerate(group):
+                for b in np.flatnonzero(alive & (1 << j)).tolist():
+                    results.append(CongruenceTriple(a, b, m, tested_to=k - 1 + (b < rem)))
     results.sort(key=lambda t: (-t.M, t.A, t.B))
     return results
 

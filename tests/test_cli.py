@@ -162,6 +162,26 @@ def test_scan_rejects_low_support(capsys):
     assert "at least 20" in err
 
 
+def _no_table(*args, **kwargs):
+    raise AssertionError("a count table was built")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--max-a", "0"], id="max-a-0"),
+        pytest.param(["--min-support", "5"], id="min-support-5"),
+        pytest.param(["--moduli", "-8"], id="negative-modulus"),
+        pytest.param(["--moduli", ","], id="no-modulus"),
+    ],
+)
+def test_scan_checks_arguments_before_building_the_table(capsys, monkeypatch, flags):
+    monkeypatch.setattr(schur, "residue_table", _no_table)
+    code, out, err = run(capsys, "scan", "--table-size", "3000000", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_family_text(capsys):
     code, out, _ = run(capsys, "family", "--alpha-max", "2", "--table-size", "4000")
     assert code == 0

@@ -189,10 +189,31 @@ def _triples_that_hold(max_a, moduli, table, min_support):
     return found
 
 
-def test_scan_matches_check_triple(residues4k):
-    assert scan(48, [8, 16], residues4k, min_support=30) == _triples_that_hold(
-        48, [8, 16], residues4k, 30
-    )
+def _zeros(n, nonzero_at=None):
+    coeffs = [0] * n
+    if nonzero_at is not None:
+        coeffs[nonzero_at] = 1
+    return Series(mod_ring(2), tuple(coeffs))
+
+
+@pytest.mark.parametrize(
+    "table, max_a, moduli, min_support",
+    [
+        pytest.param("residues4k", 48, [8, 16], 30, id="residues4k"),
+        # ten moduli fill two bytes of bits and do not form a divisor chain
+        pytest.param("exact5k", 40, [2, 3, 4, 5, 6, 7, 8, 9, 12, 16], 20, id="exact5k-ten-moduli"),
+        # every column survives the first rows
+        pytest.param(_zeros(3000), 60, [2], 20, id="zeros"),
+        # index 5 + 70*13 is row 70 of column 5 at step 13, so only the rows
+        # read after the first ones refute (13, 5, 2)
+        pytest.param(_zeros(3000, 5 + 70 * 13), 60, [2], 20, id="one-late-nonzero"),
+    ],
+)
+def test_scan_matches_check_triple(request, table, max_a, moduli, min_support):
+    if isinstance(table, str):
+        table = request.getfixturevalue(table)
+    got = scan(max_a, moduli, table, min_support)
+    assert got == _triples_that_hold(max_a, moduli, table, min_support)
 
 
 def test_scan_tests_the_last_partial_row():

@@ -269,7 +269,7 @@ def scan(
     """Every (A, B, M) with A <= max_a holding throughout the table.
 
     Only progressions with at least min_support testable indices are
-    reported. Results are sorted by (M descending, A, B).
+    reported. Results come in (M descending, A, B) order.
     """
     mods = check_scan_args(max_a, moduli, min_support)
     # the dtype must hold the modulus itself: NumPy rejects `uint8 % 256`
@@ -284,7 +284,8 @@ def scan(
         for j, m in enumerate(group):
             bits |= (base % m == 0).view(np.uint8) << j
         groups.append((group, bits))
-    results = []
+    # one list per modulus, filled in (A, B) order and read in descending M
+    found = {m: [] for m in mods}
     # past step (n - 1) // (min_support - 1) no column has min_support indices
     for a in range(1, min(max_a, (n - 1) // (min_support - 1)) + 1):
         # column b of the k-by-a grid holds indices b, b+a, ...; the
@@ -304,10 +305,11 @@ def scan(
             if k > _SCAN_HEAD_ROWS:
                 alive[live] &= np.bitwise_and.reduce(grid[_SCAN_HEAD_ROWS:, live], axis=0)
             for j, m in enumerate(group):
-                for b in np.flatnonzero(alive & (1 << j)).tolist():
-                    results.append(CongruenceTriple(a, b, m, tested_to=k - 1 + (b < rem)))
-    results.sort(key=lambda t: (-t.M, t.A, t.B))
-    return results
+                found[m].extend(
+                    CongruenceTriple(a, b, m, tested_to=k - 1 + (b < rem))
+                    for b in np.flatnonzero(alive & (1 << j)).tolist()
+                )
+    return [t for m in reversed(mods) for t in found[m]]
 
 
 def scan_to_json(results) -> str:

@@ -74,11 +74,14 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     on [0, h), the block [h, h+b) with b <= h is S[:b] * r truncated to b
     terms, where r[i] = -sum theta_e S[h+i-e] over the terms e > i, which
     reach below h. Residues are stored in uint8 when m <= 256, else int64
-    (never uint64, which mixed with int64 gives float64); r sums them in
-    int64 and is folded into [0, m) after every period-th theta term, so
-    |r| < (period + 1) * m <= 2^63 - 1. A modulus with no period, m >=
-    2^62, is refused before any allocation. Exact tables sum Python ints;
-    their period, n, is never reached.
+    (never uint64, which mixed with int64 gives float64). When m divides
+    256, r sums them in uint8, whose wraparound is reduction mod 256, so it
+    is never folded: its period, over 2^54 terms, is never reached, and the
+    block product reduces r mod m. Otherwise r sums them in int64 and is
+    folded into [0, m) after every period-th theta term and once at the
+    end, so |r| < (period + 1) * m <= 2^63 - 1. A modulus with no period,
+    m >= 2^62, is refused before any allocation. Exact tables sum Python
+    ints; their period, n, is never reached.
     """
     period = n if m is None else ((1 << 63) - 1) // m - 1
     if period < 1:
@@ -94,7 +97,7 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
     ]
     fft = m is not None and _fft_fits(_FFT_BLOCK_CAP, m - 1, m - 1)
     cap = _FFT_BLOCK_CAP if fft else _BLOCK_CAP
-    acc = object if m is None else np.int64
+    acc = object if m is None else np.uint8 if 256 % m == 0 else np.int64
     h = len(known)
     v[:h] = known
     while h < n:
@@ -107,7 +110,7 @@ def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:
             op(r[lo:hi], v[h + lo - e : h + hi - e], out=r[lo:hi])
             if j % period == 0:
                 np.remainder(r, m, out=r)
-        if m is not None:
+        if acc is np.int64:
             np.remainder(r, m, out=r)
         v[h : h + b] = _multiply(v[:b], r, b, m)
         h += b

@@ -82,9 +82,9 @@ def test_tables_are_series():
     "m", [2, 3, 9, 16, 48, 256, 2**61 - 1, 2**62 - 57, 10**12 + 39]
 )
 def test_residue_table_matches_exact_table(exact5k, m):
-    # the builder folds its int64 accumulator after every period-th term,
-    # period = floor((2^63 - 1) / m) - 1: 3 for 2^61 - 1, 1 for 2^62 - 57;
-    # the small moduli never reach a fold
+    # divisors of 256 sum in uint8 and never fold; the others fold their
+    # int64 accumulator after every period-th term, period = floor((2^63 -
+    # 1) / m) - 1: 3 for 2^61 - 1, 1 for 2^62 - 57; 3, 9 and 48 never reach it
     got = schur.residue_table(5000, m)
     assert got.ring == mod_ring(m)
     assert got.coeffs == tuple(exact5k[n] % m for n in range(5000))
@@ -171,8 +171,9 @@ def exact40k():
 
 @pytest.mark.parametrize("m", [3, 16, 256, 2**61 - 1])
 def test_residue_table_matches_exact_table_at_40k(exact40k, m):
-    # 2^61 - 1 (about 230 theta terms, period 3) folds its accumulator,
-    # the others never reach their period
+    # 2^61 - 1 (about 230 theta terms, period 3) folds its int64
+    # accumulator and 3 never reaches its period; 16 and 256 sum in uint8,
+    # whose wraparound is the reduction
     got = schur.residue_table(40_000, m)
     assert got == exact40k.reduce_mod(m)
 
@@ -195,6 +196,31 @@ def test_block_cap_per_ring(monkeypatch, m, cap):
     sizes = _block_sizes(monkeypatch)
     schur._theta_table(4 * cap + 1, m)
     assert max(sizes) == cap and sizes.count(cap) == 3 and sum(sizes) == 4 * cap
+
+
+@pytest.mark.parametrize(
+    "m, acc", [(2, np.uint8), (16, np.uint8), (256, np.uint8), (9, np.int64),
+               (255, np.int64), (257, np.int64), (2**61 - 1, np.int64)]
+)
+def test_theta_table_accumulator_per_modulus(monkeypatch, m, acc):
+    # uint8 wraparound is reduction mod 256, so only the divisors of 256
+    # sum theta's terms in bytes; a signed byte would wrap the same way
+    # but hand the product negative operands
+    seen = []
+    multiply = schur._multiply
+    monkeypatch.setattr(schur, "_multiply", lambda a, b, n, m: seen.append(b.dtype) or multiply(a, b, n, m))
+    schur._theta_table(3_000, m)
+    assert seen and set(seen) == {np.dtype(acc)}
+
+
+@pytest.mark.parametrize("m", [2, 16, 128])
+def test_byte_accumulator_matches_exact_references(euler6k, exact40k, m):
+    # the Euler prefix sums cover the doubling blocks; at 40,000 terms
+    # (blocks of 2^14 from 16,384 on) the exact builder, whose Python-int
+    # accumulator never wraps, is the reference: the Euler sums would take
+    # about 25 s on 2 cores
+    assert schur._theta_table(6_000, m).tolist() == [v % m for v in euler6k]
+    assert schur._theta_table(40_000, m).tolist() == [v % m for v in exact40k.coeffs]
 
 
 @pytest.mark.parametrize("m", [256, 9])

@@ -19,9 +19,7 @@ import os
 import struct
 import tempfile
 from functools import lru_cache
-from itertools import accumulate
 from math import isqrt
-from operator import add
 
 import numpy as np
 
@@ -49,22 +47,16 @@ def _is_part(j: int) -> bool:
 
 
 def _euler_exact(n: int) -> list[int]:
-    # reference only: the Euler prefix sum, independent of the triple product
-    v = [0] * n
+    # reference only, for the tests: Euler's prefix sum v[s] += v[s - j]
+    # over each part j, independent of the triple product. Each block of j
+    # terms reads the finished block before it; the last one stops at n
+    v = np.zeros(n, dtype=object)
     v[0] = 1
     for j in range(1, n):
-        if not _is_part(j):
-            continue
-        if 2 * j >= n:
-            v[j:] = list(map(add, v[j:], v[: n - j]))
-        elif j * j >= n:
+        if _is_part(j):
             for s in range(j, n, j):
-                e = min(s + j, n)
-                v[s:e] = list(map(add, v[s:e], v[s - j : e - j]))
-        else:
-            for r in range(j):
-                v[r::j] = accumulate(v[r::j])
-    return v
+                v[s : s + j] += v[s - j : min(s, n - j)]
+    return v.tolist()
 
 
 def _theta_table(n: int, m: int | None, known=(1,)) -> np.ndarray:

@@ -150,6 +150,18 @@ def test_theta_table_matches_euler_reference(n):
     assert schur._theta_table(n, None).tolist() == schur._euler_exact(n)
 
 
+def test_euler_exact_matches_part_count_oracle():
+    # the reference against brute-force enumeration of its definition
+    assert schur._euler_exact(81) == [schur.oracle_part_count(k) for k in range(81)]
+
+
+def test_euler_exact_prefixes():
+    # every length cuts the last block of some part j at n - j
+    full = schur._euler_exact(300)
+    for n in range(1, 300):
+        assert schur._euler_exact(n) == full[:n]
+
+
 @pytest.fixture(scope="module")
 def euler6k():
     return schur._euler_exact(6_000)
@@ -176,6 +188,20 @@ def test_residue_table_matches_exact_table_at_40k(exact40k, m):
     # whose wraparound is the reduction
     got = schur.residue_table(40_000, m)
     assert got == exact40k.reduce_mod(m)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(20_000, None), (70_000, 256), (70_000, 9), (40_000, 2**61 - 1)]
+)
+def test_tables_match_eta_quotient_at_depth(n, m):
+    # the eta quotient's pentagonal expansions and Newton inverse never call
+    # the table builder. Past the doubling blocks: eight full exact blocks
+    # at the 2^11 cap and a cut one; from 16,384 on, three full 2^14 blocks
+    # and a cut one, summed in uint8 (256) and in int64 (9); and the folded
+    # int64 accumulator of 2^61 - 1
+    ring = ZZ if m is None else mod_ring(m)
+    got = schur.s_series(n) if m is None else schur.residue_table(n, m)
+    assert got == expand_expression(parse("f2*f3/(f1*f6^2)"), n, ring)
 
 
 FFT_CAP = schur._FFT_BLOCK_CAP
@@ -218,7 +244,7 @@ def test_byte_accumulator_matches_exact_references(euler6k, exact40k, m):
     # the Euler prefix sums cover the doubling blocks; at 40,000 terms
     # (blocks of 2^14 from 16,384 on) the exact builder, whose Python-int
     # accumulator never wraps, is the reference: the Euler sums would take
-    # about 25 s on 2 cores
+    # about 18 s on 2 cores
     assert schur._theta_table(6_000, m).tolist() == [v % m for v in euler6k]
     assert schur._theta_table(40_000, m).tolist() == [v % m for v in exact40k.coeffs]
 
@@ -238,7 +264,7 @@ def test_theta_table_resumes_around_the_fft_block_cap(exact40k, m, k):
     assert schur._theta_table(40_000, m, tuple(want[:k])).tolist() == want
 
 
-def test_residue_table_byte_path_vs_uint64_path():
+def test_residue_table_byte_path_vs_int64_path():
     # 16 divides 256 so it takes the byte route; 48 forces the general one
     byte16 = schur.residue_table(600, 16)
     wide48 = schur.residue_table(600, 48)

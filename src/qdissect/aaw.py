@@ -33,8 +33,7 @@ def phi(precision: int) -> Series:
 
 def _phi_cubed_q(precision: int) -> Series:
     """phi evaluated at q^3, truncated to `precision` terms."""
-    inner = phi((precision + 2) // 3)
-    return inner.scale_q(3).truncate(precision)
+    return phi((precision + 2) // 3).scale_q(3, precision)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def verify_param_identities(p: ParamPair, precision: int) -> list[VerificationRe
     s12 = s ** 12
     reports = []
     for r, (e_t, e_m2, e_p1, e_p2, e_p4) in _RELATION_EXPONENTS.items():
-        lhs = eta.expand_eta(r, precision, ZZ) ** 24
+        lhs = eta.expand_quotient(eta.EtaQuotient.of({r: 24}), precision, ZZ)
         rhs = s12 * t ** e_t * m2 ** e_m2 * p1 ** e_p1 * p2 ** e_p2 * p4 ** e_p4
         mm = compare_series(lhs, rhs)
         reports.append(

@@ -327,14 +327,15 @@ def expand_pochhammer(factor: PochhammerFactor, precision: int, ring: RingSpec =
 
 
 def expand_quotient(quotient: EtaQuotient, precision: int, ring: RingSpec = ZZ) -> Series:
-    """Expand prod_r f_r^{e_r}, never multiplying by the unit series: f_r
-    with r >= precision is 1 to that precision and is skipped, and the
+    """Expand prod_r f_r^{e_r}, never multiplying by the unit: f_r with
+    r >= precision is 1 to that precision and is skipped, f_r^{|e_r|} is
+    f_1^{|e_r|} on ceil(precision / r) terms with q -> q^r, and the
     denominator, if any, is inverted once."""
     num = den = None
     for r, e in quotient.factors:
         if r >= precision:
             continue
-        piece = expand_eta(r, precision, ring) ** abs(e)
+        piece = (expand_eta(1, -(-precision // r), ring) ** abs(e)).scale_q(r, precision)
         if e > 0:
             num = piece if num is None else num * piece
         else:
@@ -345,13 +346,31 @@ def expand_quotient(quotient: EtaQuotient, precision: int, ring: RingSpec = ZZ) 
 
 
 def expand_expression(expr: EtaExpression, precision: int, ring: RingSpec = ZZ) -> Series:
-    """Expand a full expression to exactly `precision` coefficients."""
+    """Expand a full expression to exactly `precision` coefficients.
+
+    The terms below q^precision share one denominator D = prod f_r^{d_r},
+    d_r the largest denominator exponent of f_r among them. Each term
+    times D is a pure numerator; their sum is multiplied once by 1/D, so
+    an expression costs at most one inverse.
+    """
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    total = Series.zero(ring, precision)
-    for t in expr.terms:
-        # q^qpow * quotient needs only precision - qpow terms of the quotient
-        if t.qpow < precision:
-            piece = expand_quotient(t.quotient, precision - t.qpow, ring)
-            total = total + (t.coeff * piece).mul_qpow(t.qpow)
-    return total
+    live = [t for t in expr.terms if t.qpow < precision]
+    d: dict[int, int] = {}
+    for t in live:
+        for r, e in t.quotient.factors:
+            if e < 0 and r < precision:
+                d[r] = max(d.get(r, 0), -e)
+    den = EtaQuotient.of(d)
+    total = [0] * precision
+    for t in live:
+        # q^qpow * quotient needs only precision - qpow terms of the quotient,
+        # and times den it has no denominator below that
+        piece = expand_quotient(t.quotient * den, precision - t.qpow, ring)
+        for i, c in enumerate(piece.coeffs, t.qpow):
+            total[i] += t.coeff * c
+    total = Series.of(ring, total)
+    if not den.factors:
+        return total
+    inv = expand_quotient(den ** -1, precision, ring)
+    return inv if total == Series.one(ring, precision) else total * inv

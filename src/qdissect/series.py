@@ -330,15 +330,23 @@ class Series:
                 result = result * self
         return result
 
-    def scale_q(self, m: int) -> "Series":
-        """Substitute q -> q^m; the result carries precision * m coefficients."""
+    def scale_q(self, m: int, precision: int | None = None) -> "Series":
+        """Substitute q -> q^m, to `precision` coefficients (precision * m
+        by default), built at that length: it reads ceil(precision / m)
+        terms of self."""
         if m < 1:
             raise ValueError("scale factor must be at least 1")
+        if precision is None:
+            precision = self.precision * m
+        k = -(-precision // m)
+        if precision < 1 or k > self.precision:
+            raise ValueError(
+                f"cannot scale precision {self.precision} by {m} to {precision}"
+            )
         if m == 1:
-            return self
-        out = [0] * (self.precision * m)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
+            return self.truncate(precision)
+        out = [0] * precision
+        out[::m] = self.coeffs[:k]
         return Series(self.ring, tuple(out))
 
     def mul_qpow(self, k: int) -> "Series":

@@ -220,6 +220,89 @@ def test_shifted_term_past_precision_builds_nothing_longer(monkeypatch):
     # precision is built, not even a shifted one that would be truncated
     lengths = []
     monkeypatch.setattr(Series, "__post_init__", lambda self: lengths.append(self.precision))
-    expr = parse("*".join(["q^1000000"] * 8) + "*f1 + f1")
-    assert expand_expression(expr, 10) == expand_eta(1, 10)
+    # and f7 is f1 on two terms spread to stride 7, built at 10 terms, not 14
+    expr = parse("*".join(["q^1000000"] * 8) + "*f1 + f1 + f7")
+    assert expand_expression(expr, 10) == expand_eta(1, 10) + expand_eta(7, 10)
     assert lengths and max(lengths) == 10
+
+
+RINGS = (ZZ, mod_ring(16), mod_ring(9), mod_ring(2**61 - 1))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_scaled_powers_at_the_ceiling_edge(ring):
+    # f_r^e is f_1^e on ceil(n/r) terms spread to stride r: at n = k*r + 1
+    # the last coefficient needs term k of f_1^e, which floor(n/r) drops
+    k = 3
+    for r in (2, 3, 5, 7, 12, 48):
+        for n in (k * r - 1, k * r, k * r + 1, r + 1):
+            f = expand_eta(r, n, ring)
+            for e in (*range(-5, 0), *range(1, 6)):
+                assert expand_quotient(EtaQuotient.of({r: e}), n, ring) == f ** e, (r, n, e)
+
+
+L_LHS = dissect.get_record("l-obstruction-mod16").lhs
+NUMERATORS = parse("f1^3*f2 - 5*q^2*f4^2*f6 + q*f12")
+
+
+@pytest.mark.parametrize(
+    "expr, n, ring, inverses",
+    [
+        (L_LHS, 3000, ZZ, 1),
+        (L_LHS, 2000, mod_ring(16), 1),
+        (NUMERATORS, 500, ZZ, 0),
+        (NUMERATORS, 500, mod_ring(16), 0),
+    ],
+    ids=["L-ZZ", "L-Z/16", "numerators-ZZ", "numerators-Z/16"],
+)
+def test_one_inverse_per_expression(monkeypatch, expr, n, ring, inverses):
+    calls = []
+    inv = Series.inv
+
+    def spy(self):
+        calls.append(self.precision)
+        return inv(self)
+
+    monkeypatch.setattr(Series, "inv", spy)
+    expand_expression(expr, n, ring)
+    assert calls == [n] * inverses
+
+
+def _reference_expansion(terms, n, ring):
+    # term by term: plain powers of each f_r and one inverse per term
+    total = Series.zero(ring, n)
+    for c, a, factors in terms:
+        if a >= n:
+            continue
+        num = den = Series.one(ring, n - a)
+        for r, e in factors.items():
+            piece = expand_eta(r, n - a, ring) ** abs(e)
+            if e > 0:
+                num = num * piece
+            elif e < 0:
+                den = den * piece
+        total = total + (c * (num * den.inv())).mul_qpow(a)
+    return total
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-20, 20).filter(bool),
+            st.integers(0, 5),
+            st.dictionaries(st.integers(1, 12), st.integers(-4, 4), max_size=4),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 60),
+    st.sampled_from((None, 2, 9, 16, 256, 2**61 - 1)),
+)
+def test_common_denominator_matches_term_by_term(terms, n, m):
+    ring = ZZ if m is None else mod_ring(m)
+    expr = EtaExpression.from_terms(
+        eta.EtaTerm(c, a, EtaQuotient.of(factors)) for c, a, factors in terms
+    )
+    assert expand_expression(expr, n, ring) == _reference_expansion(terms, n, ring)

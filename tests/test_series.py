@@ -123,6 +123,17 @@ def test_scale_q_stretches_precision():
     assert g.coeffs == (1, 0, 2, 0, 3, 0)
 
 
+def test_scale_q_to_a_precision_reads_only_the_terms_it_needs():
+    f = Series.of(ZZ, [1, 2, 3])
+    for n in range(1, 10):
+        assert f.scale_q(3, n) == f.scale_q(3).truncate(n)
+    assert f.scale_q(1, 2) == f.truncate(2)
+    # 7 terms in q^2 need 4 terms of f, and 0 terms are no series
+    for m, n in ((2, 7), (3, 0)):
+        with pytest.raises(ValueError):
+            f.scale_q(m, n)
+
+
 def test_mul_qpow_shifts():
     f = Series.of(ZZ, [1, 2])
     g = f.mul_qpow(3)

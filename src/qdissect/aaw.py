@@ -31,11 +31,6 @@ def phi(precision: int) -> Series:
     return Series(ZZ, tuple(coeffs))
 
 
-def _phi_cubed_q(precision: int) -> Series:
-    """phi evaluated at q^3, truncated to `precision` terms."""
-    return phi((precision + 2) // 3).scale_q(3, precision)
-
-
 @dataclass(frozen=True)
 class ParamPair:
     s: Series
@@ -56,17 +51,20 @@ def compute_params(precision: int) -> ParamPair:
     """
     if precision < 2:
         raise ValueError("precision must be at least 2")
-    ph3 = _phi_cubed_q(precision)
-    s = ph3 ** 3 * phi(precision).inv()
+    # phi(q) and phi(q^3) once each, one term past `precision` for t
+    ph = phi(precision + 1)
+    ph3 = phi((precision + 3) // 3).scale_q(3, precision + 1)
+    sq3 = ph3 ** 2
+    s = ph3.truncate(precision) ** 3 * ph.truncate(precision).inv()
 
-    num = phi(precision + 1) ** 2 - _phi_cubed_q(precision + 1) ** 2
+    num = ph ** 2 - sq3
     if num[0] != 0:
         raise ValueError("theta squares differ at q^0; cannot divide by q")
     for k, c in enumerate(num.coeffs[1:], start=1):
         if c % 4:
             raise ValueError(f"coefficient of q^{k} in the theta difference is not divisible by 4")
     quarter = Series(ZZ, tuple(c // 4 for c in num.coeffs[1:]))
-    t = quarter * (ph3 ** 2).inv()
+    t = quarter * sq3.truncate(precision).inv()
     return ParamPair(s, t)
 
 
@@ -122,9 +120,9 @@ def verify_L_identity(precision: int) -> VerificationReport:
     """L * f4^2*f6/f3^2 == 16q * s^4 t^2 (1+qt)^3 (1+2qt) (1+4qt), over ZZ."""
     if precision < 2:
         raise ValueError("precision must be at least 2")
-    lhs = compute_L(precision) * eta.expand_quotient(
-        eta.EtaQuotient.of({4: 2, 6: 1, 3: -2}), precision, ZZ
-    )
+    # one expression over one denominator, f1^6 f3^2 f4^2 f12^2: one inverse
+    lhs_expr = get_record("l-obstruction-mod16").lhs * eta.parse("f4^2*f6/f3^2")
+    lhs = eta.expand_expression(lhs_expr, precision, ZZ)
     pair = compute_params(precision)
     s = pair.s
     t = pair.t

@@ -14,7 +14,7 @@ import json
 import sys
 from math import lcm
 
-from . import aaw, congruences, dissect, eta, schur
+from . import aaw, congruences, dissect, schur
 from .series import Series, ZZ, mod_ring
 
 
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    except (eta.ParseError, ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -105,9 +105,11 @@ def root_series(name: str, ring: RingSpec, precision: int) -> Series:
     """The named root series to `precision` terms over `ring`.
 
     "S" is the overpartition count series, `schur.s_series` or
-    `schur.residue_table`; `schur` keeps the tables, so requests in any
-    order build no term twice. "negq" is the alternating-sign Euler
-    product, a sign flip of the f1 expansion.
+    `schur.residue_table`. `schur` keeps the exact table and the mod-256
+    table, which serves every divisor of 256, so for those requests in
+    any order build no term twice; any other modulus is built fresh on
+    each request. "negq" is the alternating-sign Euler product, a sign
+    flip of the f1 expansion.
     """
     if name == "S":
         if ring.exact:

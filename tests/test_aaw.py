@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from qdissect import aaw
+from qdissect import aaw, eta
 from qdissect.aaw import (
     ParamPair,
     compute_L,
@@ -9,6 +11,7 @@ from qdissect.aaw import (
     verify_L_identity,
     verify_param_identities,
 )
+from qdissect.dissect import Mismatch, get_record
 from qdissect.series import Series, ZZ
 
 
@@ -27,7 +30,7 @@ def test_params_defining_identities():
     n = 64
     pair = compute_params(n)
     ph = phi(n)
-    ph3_series = aaw._phi_cubed_q(n)
+    ph3_series = phi((n + 2) // 3).scale_q(3, n)
     # s * phi(q) == phi(q^3)^3
     assert (pair.s * ph).coeffs == (ph3_series ** 3).coeffs
     # 4 q t phi(q^3)^2 == phi(q)^2 - phi(q^3)^2
@@ -77,3 +80,54 @@ def test_product_identity():
     rep = verify_L_identity(64)
     assert rep.passed
     assert rep.name == "l-product-form"
+
+
+@pytest.mark.parametrize(
+    "edit, mismatch",
+    [
+        (lambda text: text.replace("8*q*", "9*q*"), Mismatch(degree=1, lhs=17, rhs=16)),
+        # still 0 mod 16, so the divisibility record alone would pass it
+        (lambda text: text + " + 16*q^40", Mismatch(degree=40, lhs=123952, rhs=123936)),
+    ],
+    ids=["coefficient", "multiple-of-16"],
+)
+def test_product_identity_rejects_a_perturbed_L(monkeypatch, edit, mismatch):
+    record = get_record("l-obstruction-mod16")
+    bad = dataclasses.replace(record, lhs=eta.parse(edit(eta.render(record.lhs))))
+    monkeypatch.setattr(aaw, "get_record", lambda name: bad)
+    rep = verify_L_identity(64)
+    assert not rep.passed
+    assert rep.mismatch == mismatch
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_product_identity_costs_three_inverses(monkeypatch):
+    # one for L * f4^2 f6 / f3^2 over its common denominator, one each for s and t
+    calls = _count_calls(monkeypatch, Series, "inv")
+    assert verify_L_identity(300).passed
+    assert len(calls) == 3
+
+
+def test_params_build_each_theta_series_once(monkeypatch):
+    calls = _count_calls(monkeypatch, aaw, "phi")
+    compute_params(300)
+    assert len(calls) == 2
+
+
+def test_params_agree_across_the_ceiling_edge():
+    # n + 1 runs over every residue mod 3, where phi(q^3) needs a new term
+    for n in range(2, 41):
+        short, longer = compute_params(n), compute_params(n + 1)
+        assert longer.s.truncate(n).coeffs == short.s.coeffs
+        assert longer.t.truncate(n).coeffs == short.t.coeffs

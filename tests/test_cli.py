@@ -412,6 +412,33 @@ def test_memory_error_exits_2(capsys, monkeypatch, target, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# 10^20 is past the index range (2^63), so each size fails before any
+# allocation; the last four cases exited 2 already, through numpy
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "f1", "--precision", HUGE],
+        ["verify", "--all", "--precision", HUGE],
+        ["aaw-check", "--precision", HUGE],
+        ["aaw-check", "--precision", "8", "--l-precision", HUGE],
+        ["dissect", "f1", f"{HUGE}:1", "--precision", "8"],
+        ["dissect", "@S", f"{HUGE}:1", "--precision", "8"],
+        ["verify", "s-2diss-0", "--precision", HUGE],
+        ["scan", "--table-size", HUGE],
+        ["dump-table", "--table-size", HUGE],
+    ],
+    ids=["expand", "verify-all", "aaw-precision", "aaw-l-precision", "dissect-step",
+         "dissect-root-step", "verify-root", "scan", "dump-table"],
+)
+def test_size_past_the_index_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exits_2(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2

@@ -2,10 +2,11 @@
 
 An IdentityRecord claims that a left side (an eta expression, or a named
 root series with extraction steps applied) equals a right side, exactly
-or modulo m. Verification expands both sides to a common precision and
-compares coefficients, reporting the first mismatch: its degree and the
-two coefficients there. The precision the root series must be computed
-to is derived from the recipe up front and never truncated silently.
+or modulo m. Verification checks the difference of the two sides, over
+a common denominator, on a common precision; a failing record reports
+its first mismatch: its degree and the two coefficients there. The
+precision the root series must be computed to is derived from the recipe
+up front and never truncated silently.
 """
 
 from __future__ import annotations
@@ -225,17 +226,34 @@ def verify_identity(
     """Verify one record, whichever shape its left side has.
 
     Both sides are compared to `precision` terms (None: 500 for exact
-    records, 2000 mod m). The left side comes from `lhs_series`; for a
-    root recipe the report also carries the precision of the root.
+    records, 2000 mod m); for a root recipe the report also carries the
+    precision of the root.
+
+    The check clears denominators and inverts nothing. With E = LHS - RHS
+    and D = prod f_r^{d_r} a common denominator, D has constant term 1,
+    so it is a unit in ZZ[[q]] and in every (Z/m)[[q]]: E*D vanishes to n
+    terms iff E does, and its first nonzero coefficient sits at E's first
+    nonzero degree k. For an eta left side, E*D is the numerator of
+    `record.lhs - record.rhs` over its own denominator; for a root recipe
+    it is T*D - N, with T the table component from `lhs_series` and (N, D)
+    the right side's numerator and denominator. On failure both sides are
+    expanded to k + 1 terms and `compare_series` reports the mismatch.
     """
     prec = _precision(record, precision)
     ring = ZZ if record.exact else mod_ring(record.modulus)
-    lhs = lhs_series(record.lhs, ring, prec)
-    rhs = eta.expand_expression(record.rhs, prec, ring)
-    mm = compare_series(lhs, rhs)
     need = None
     if isinstance(record.lhs, RootRecipe):
         need = required_root_precision(record.lhs.steps, prec)
+        table = lhs_series(record.lhs, ring, prec)
+        num, den = eta._numerator(record.rhs, prec, ring)
+        diff = (table if den is None else table * den) - num
+    else:
+        diff, _ = eta._numerator(record.lhs - record.rhs, prec, ring)
+    k = next((k for k, c in enumerate(diff.coeffs) if c), None)
+    mm = None
+    if k is not None:
+        lhs = lhs_series(record.lhs, ring, k + 1)
+        mm = compare_series(lhs, eta.expand_expression(record.rhs, k + 1, ring))
     return VerificationReport(record.name, mm is None, prec, record.modulus, need, mm)
 
 

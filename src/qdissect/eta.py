@@ -327,31 +327,24 @@ def expand_pochhammer(factor: PochhammerFactor, precision: int, ring: RingSpec =
 
 
 def expand_quotient(quotient: EtaQuotient, precision: int, ring: RingSpec = ZZ) -> Series:
-    """Expand prod_r f_r^{e_r}, never multiplying by the unit: f_r with
-    r >= precision is 1 to that precision and is skipped, f_r^{|e_r|} is
-    f_1^{|e_r|} on ceil(precision / r) terms with q -> q^r, and the
+    """Expand prod_r f_r^{e_r}, the expression of one term: f_r with
+    r >= precision is 1 to that precision and is skipped, and the
     denominator, if any, is inverted once."""
-    num = den = None
-    for r, e in quotient.factors:
-        if r >= precision:
-            continue
-        piece = (expand_eta(1, -(-precision // r), ring) ** abs(e)).scale_q(r, precision)
-        if e > 0:
-            num = piece if num is None else num * piece
-        else:
-            den = piece if den is None else den * piece
-    if den is not None:
-        num = den.inv() if num is None else num * den.inv()
-    return Series.one(ring, precision) if num is None else num
+    return expand_expression(EtaExpression((EtaTerm(1, 0, quotient),)), precision, ring)
 
 
-def expand_expression(expr: EtaExpression, precision: int, ring: RingSpec = ZZ) -> Series:
-    """Expand a full expression to exactly `precision` coefficients.
+def _numerator(
+    expr: EtaExpression, precision: int, ring: RingSpec = ZZ
+) -> tuple[Series, Series | None]:
+    """The expression over its common denominator, to `precision` terms.
 
-    The terms below q^precision share one denominator D = prod f_r^{d_r},
-    d_r the largest denominator exponent of f_r among them. Each term
-    times D is a pure numerator; their sum is multiplied once by 1/D, so
-    an expression costs at most one inverse.
+    Returns (N, D). The terms below q^precision share the denominator
+    D = prod f_r^{d_r}, d_r the largest denominator exponent of f_r among
+    them; D is None when no term has one. N is their sum times D: each
+    term times D is a pure product, so N costs no inverse. f_r^e is f_1^e
+    on ceil(n/r) terms with q -> q^r, and each f_1^e is built once, at
+    the longest length any product reads: truncated products agree on
+    their common prefix, so every shorter use is a truncation of it.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -362,15 +355,38 @@ def expand_expression(expr: EtaExpression, precision: int, ring: RingSpec = ZZ) 
             if e < 0 and r < precision:
                 d[r] = max(d.get(r, 0), -e)
     den = EtaQuotient.of(d)
+    # q^qpow * quotient needs only precision - qpow terms of the quotient,
+    # and times den it has no denominator below that
+    jobs = [(t.quotient * den, precision - t.qpow) for t in live]
+    length: dict[int, int] = {}
+    for q, n in jobs + [(den, precision)]:
+        for r, e in q.factors:
+            if r < n:
+                length[e] = max(length.get(e, 0), -(-n // r))
+    f1 = expand_eta(1, max(length.values(), default=1), ring)
+    powers = {e: f1.truncate(k) ** e for e, k in length.items()}
+
+    def product(q: EtaQuotient, n: int) -> Series:
+        out = None
+        for r, e in q.factors:
+            if r < n:
+                piece = powers[e].scale_q(r, n)
+                out = piece if out is None else out * piece
+        return Series.one(ring, n) if out is None else out
+
     total = [0] * precision
-    for t in live:
-        # q^qpow * quotient needs only precision - qpow terms of the quotient,
-        # and times den it has no denominator below that
-        piece = expand_quotient(t.quotient * den, precision - t.qpow, ring)
-        for i, c in enumerate(piece.coeffs, t.qpow):
+    for t, (q, n) in zip(live, jobs):
+        for i, c in enumerate(product(q, n).coeffs, t.qpow):
             total[i] += t.coeff * c
-    total = Series.of(ring, total)
-    if not den.factors:
+    return Series.of(ring, total), (product(den, precision) if den.factors else None)
+
+
+def expand_expression(expr: EtaExpression, precision: int, ring: RingSpec = ZZ) -> Series:
+    """Expand a full expression to exactly `precision` coefficients: the
+    numerator N of `_numerator` times 1/D, so an expression costs at most
+    one inverse."""
+    total, den = _numerator(expr, precision, ring)
+    if den is None:
         return total
-    inv = expand_quotient(den ** -1, precision, ring)
+    inv = den.inv()
     return inv if total == Series.one(ring, precision) else total * inv

@@ -199,6 +199,46 @@ def test_verify_catalog_computes_no_term_twice(monkeypatch):
     assert built == {ring: n - 1 for ring, n in need.items()} == {None: 326, 256: 10_474}
 
 
+def test_verify_catalog_inverts_nothing(monkeypatch):
+    # a passing record is a numerator identity: no Newton inverse at all
+    calls = []
+    inv = Series.inv
+
+    def spy(self):
+        calls.append(self.precision)
+        return inv(self)
+
+    monkeypatch.setattr(Series, "inv", spy)
+    assert all(r.passed for r in verify_catalog())
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "index, record", list(enumerate(load_catalog())), ids=[r.name for r in load_catalog()]
+)
+def test_failure_reports_match_full_expansion(index, record, full_expansion_report):
+    # c*q^k added to the right side, and q^7*f2 to an eta left side: the
+    # numerator check's reports, first mismatch included, are byte for
+    # byte those of expanding both sides in full; multiples of m still pass
+    lefts = [record.lhs]
+    if isinstance(record.lhs, eta.EtaExpression):
+        lefts.append(record.lhs + eta.parse("q^7*f2"))
+    cs = (1, -1, 2, 8) + (() if record.exact else (record.modulus,))
+    for j, c in enumerate(cs):
+        for k in (0, 1, 2, 40):
+            n = (k + 1, k + 5, 80)[(index + j + k) % 3]
+            shift = eta.EtaExpression.from_terms([eta.EtaTerm(c, k, eta.EtaQuotient())])
+            rhs = record.rhs + shift
+            for lhs in lefts:
+                bad = IdentityRecord(record.name, lhs, rhs, record.modulus, record.anchor)
+                got = verify_identity(bad, n)
+                assert got.as_json() == full_expansion_report(bad, n).as_json(), (c, k, n)
+                if lhs is record.lhs:
+                    holds = record.modulus is not None and c % record.modulus == 0
+                    assert got.passed == holds
+                    assert holds or got.mismatch.degree == k
+
+
 def test_verify_catalog_precision_override_and_order():
     records = load_catalog()[:6]
     reports = verify_catalog(records, precision=30)

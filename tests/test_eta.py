@@ -285,24 +285,80 @@ def _reference_expansion(terms, n, ring):
     return total
 
 
-@seed(20)
-@settings(max_examples=300, deadline=None, database=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(-20, 20).filter(bool),
-            st.integers(0, 5),
-            st.dictionaries(st.integers(1, 12), st.integers(-4, 4), max_size=4),
-        ),
-        min_size=1,
-        max_size=4,
+# (coefficient, q-power, {r: e}) triples, the terms of a random expression
+TERMS = st.lists(
+    st.tuples(
+        st.integers(-20, 20).filter(bool),
+        st.integers(0, 5),
+        st.dictionaries(st.integers(1, 12), st.integers(-4, 4), max_size=4),
     ),
-    st.integers(1, 60),
-    st.sampled_from((None, 2, 9, 16, 256, 2**61 - 1)),
+    min_size=1,
+    max_size=4,
 )
-def test_common_denominator_matches_term_by_term(terms, n, m):
-    ring = ZZ if m is None else mod_ring(m)
-    expr = EtaExpression.from_terms(
+
+
+def _expression(terms):
+    return EtaExpression.from_terms(
         eta.EtaTerm(c, a, EtaQuotient.of(factors)) for c, a, factors in terms
     )
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None, database=None)
+@given(TERMS, st.integers(1, 60), st.sampled_from((None, 2, 9, 16, 256, 2**61 - 1)))
+def test_common_denominator_matches_term_by_term(terms, n, m):
+    ring = ZZ if m is None else mod_ring(m)
+    expr = _expression(terms)
     assert expand_expression(expr, n, ring) == _reference_expansion(terms, n, ring)
+
+
+def test_each_f1_power_built_once(monkeypatch):
+    # L over f1^6 f4^4 f6 f12^2: its four numerators and D read the powers
+    # 1, 2, 4, 5, 6, 8, 9, 10 of f1, each built once, from one f1
+    powers, etas = [], []
+    power, expand = Series.__pow__, eta.expand_eta
+
+    def pow_spy(self, e):
+        powers.append(e)
+        return power(self, e)
+
+    def eta_spy(r, n, ring=ZZ):
+        etas.append(r)
+        return expand(r, n, ring)
+
+    monkeypatch.setattr(Series, "__pow__", pow_spy)
+    monkeypatch.setattr(eta, "expand_eta", eta_spy)
+    expand_expression(L_LHS, 3000, ZZ)
+    assert sorted(powers) == [1, 2, 4, 5, 6, 8, 9, 10]
+    assert etas == [1]
+
+
+@seed(22)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    TERMS,
+    TERMS,
+    TERMS,
+    st.sampled_from(
+        [r for r in dissect.load_catalog() if r.exact and isinstance(r.lhs, EtaExpression)]
+    ),
+    st.booleans(),
+    st.integers(1, 60),
+    st.sampled_from((None, 9, 16, 2**61 - 1)),
+)
+def test_numerator_check_matches_full_expansion(
+    full_expansion_report, lhs, rhs, x, identity, equal, n, m
+):
+    # random pairs mostly differ; with `equal`, the right side is the left
+    # plus x times (A - B) for an exact catalog identity A = B, equal as
+    # series but not term by term
+    left = _expression(lhs)
+    if equal:
+        right = left + _expression(x) * (identity.lhs - identity.rhs)
+    else:
+        right = _expression(rhs)
+    record = dissect.IdentityRecord("random", left, right, m, "")
+    got = dissect.verify_identity(record, n)
+    want = full_expansion_report(record, n)
+    assert (got.passed, got.mismatch) == (want.passed, want.mismatch)
+    assert got.passed or not equal

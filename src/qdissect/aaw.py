@@ -55,7 +55,7 @@ def compute_params(precision: int) -> ParamPair:
     ph = phi(precision + 1)
     ph3 = phi((precision + 3) // 3).scale_q(3, precision + 1)
     sq3 = ph3 ** 2
-    s = ph3.truncate(precision) ** 3 * ph.truncate(precision).inv()
+    s = ph3.truncate(precision) ** 3 / ph.truncate(precision)
 
     num = ph ** 2 - sq3
     if num[0] != 0:
@@ -64,7 +64,7 @@ def compute_params(precision: int) -> ParamPair:
         if c % 4:
             raise ValueError(f"coefficient of q^{k} in the theta difference is not divisible by 4")
     quarter = Series(ZZ, tuple(c // 4 for c in num.coeffs[1:]))
-    t = quarter * sq3.truncate(precision).inv()
+    t = quarter / sq3.truncate(precision)
     return ParamPair(s, t)
 
 
@@ -93,12 +93,26 @@ def verify_param_identities(p: ParamPair, precision: int) -> list[VerificationRe
         raise ValueError("parameter pair carries fewer terms than requested")
     s = p.s.truncate(precision)
     t = p.t.truncate(precision)
-    m2, p1, p2, p4 = _linear_forms(t, precision)
-    s12 = s ** 12
+    bases = (s, t, *_linear_forms(t, precision))
+    # (base, exponent) -> power, each built once from a smaller one: x^2e
+    # is (x^e)^2 and x^(e+1) is x^e * x
+    powers = {(i, 1): x for i, x in enumerate(bases)}
+
+    def power(i: int, e: int) -> Series:
+        if (i, e) not in powers:
+            if e % 2:
+                powers[i, e] = power(i, e - 1) * bases[i]
+            else:
+                half = power(i, e // 2)
+                powers[i, e] = half * half
+        return powers[i, e]
+
     reports = []
-    for r, (e_t, e_m2, e_p1, e_p2, e_p4) in _RELATION_EXPONENTS.items():
+    for r, exponents in _RELATION_EXPONENTS.items():
         lhs = eta.expand_quotient(eta.EtaQuotient.of({r: 24}), precision, ZZ)
-        rhs = s12 * t ** e_t * m2 ** e_m2 * p1 ** e_p1 * p2 ** e_p2 * p4 ** e_p4
+        rhs = power(0, 12)
+        for i, e in enumerate(exponents, start=1):
+            rhs = rhs * power(i, e)
         mm = compare_series(lhs, rhs)
         reports.append(
             VerificationReport(f"f{r}-parameterization", mm is None, precision, None, None, mm)

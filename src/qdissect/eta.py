@@ -383,10 +383,9 @@ def _numerator(
 
 def expand_expression(expr: EtaExpression, precision: int, ring: RingSpec = ZZ) -> Series:
     """Expand a full expression to exactly `precision` coefficients: the
-    numerator N of `_numerator` times 1/D, so an expression costs at most
-    one inverse."""
+    numerator N of `_numerator` divided by D, so an expression costs at
+    most one inverse, of ceil(precision/2) terms unless N is 1."""
     total, den = _numerator(expr, precision, ring)
     if den is None:
         return total
-    inv = den.inv()
-    return inv if total == Series.one(ring, precision) else total * inv
+    return den.inv() if total == Series.one(ring, precision) else total / den

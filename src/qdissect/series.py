@@ -21,6 +21,10 @@ _FFT_MAX = 1 << 50
 # Products whose shorter operand has fewer terms than this take the exact
 # path: below it, the int64 conversions and the FFT cost more than packing.
 _FFT_MIN_LEN = 32
+# From this power-of-two FFT length on, a product that fits in 3/4 of it
+# runs on 3/4 of it: below, the mixed-radix transform costs more than the
+# points it saves
+_FFT_3_MIN = 1 << 10
 # The most limbs one FFT of the limb form takes past one limb each: longer
 # operands are cut into row blocks, which bounds the FFT's memory
 _LIMB_BUDGET = 1 << 17
@@ -86,8 +90,13 @@ def _convolve(a, b, n_out: int) -> list[int]:
 def _fft_product(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray | None:
     """The first n_out terms of the convolution of two int64 vectors by one
     float64 rfft, as int64, or None when some coefficient lies 1/4 or more
-    from an integer."""
-    size = 1 << (len(a) + len(b) - 2).bit_length()
+    from an integer. The rfft's length is the least power of two 2^k that
+    holds the whole product, or 3 * 2^(k-2) when that holds it too and
+    2^k >= _FFT_3_MIN."""
+    n = len(a) + len(b) - 1
+    size = 1 << (n - 1).bit_length()
+    if 4 * n <= 3 * size and size >= _FFT_3_MIN:
+        size = size // 4 * 3
     fa = np.fft.rfft(a, size)
     fa *= fa if b is a else np.fft.rfft(b, size)
     x = np.fft.irfft(fa, size)[:n_out]
@@ -141,8 +150,9 @@ def _limb_product(a, b, n_out: int) -> np.ndarray | list[int] | None:
     blocks, whose products add up in int64, and Python ints come back. w
     is the widest for which each block product passes the FFT gate and
     each summed slot stays below 2^62, with room for the carries that then
-    bring every slot but a row's top one back into a limb. None when no w
-    passes or the residual check refuses a block.
+    bring every slot but a row's top one back into a limb, so that each row
+    reads back as one two's complement number. None when no w passes or the
+    residual check refuses a block.
     """
     square = b is a
     n = min(len(a), len(b))
@@ -181,13 +191,14 @@ def _limb_product(a, b, n_out: int) -> np.ndarray | list[int] | None:
     for s in range(stride - 1):
         z[:, s + 1] += z[:, s] >> bits
         z[:, s] &= (1 << bits) - 1
-    # each row's low limbs as w little-endian bytes apiece, row after row
-    low = z[:, :-1].astype("<i8", copy=False).view(np.uint8)
-    low = low.reshape(n_out, stride - 1, 8)[:, :, :w].tobytes()
-    step = (stride - 1) * w
+    # each row as one little-endian two's complement number: its low limbs
+    # as w bytes apiece, then the signed top limb's 8 bytes
+    by = z.astype("<i8", copy=False).view(np.uint8).reshape(n_out, stride, 8)
+    out = np.concatenate((by[:, :-1, :w].reshape(n_out, -1), by[:, -1]), axis=1)
+    # a void row lists as its bytes
     return [
-        int.from_bytes(low[k * step : (k + 1) * step], "little") + (t << (bits * (stride - 1)))
-        for k, t in enumerate(z[:, -1].tolist())
+        int.from_bytes(row, "little", signed=True)
+        for row in out.view(f"V{out.shape[1]}")[:, 0].tolist()
     ]
 
 
@@ -313,6 +324,24 @@ class Series:
             e = _multiply(self.coeffs[:p], x, p, m)[h:]
             x += Series.of(self.ring, (-c for c in _multiply(x[: p - h], e, p - h, m))).coeffs
         return Series(self.ring, x)
+
+    def __truediv__(self, other: "Series") -> "Series":
+        """self / other to the shorter precision n, without a full-length
+        inverse: x = 1/other to h = ceil(n/2) terms and y = self * x to h
+        terms; then self - other * y = q^h e, and self / other = y + q^h x e
+        to n terms (A. H. Karp and P. Markstein, "High-precision division
+        and square root", ACM TOMS 23(4), 1997). Exact over ZZ and Z/m when
+        other's constant term is a unit; `inv` raises when it is not."""
+        self._check(other)
+        n, m = min(self.precision, other.precision), self.ring.modulus
+        h = (n + 1) // 2
+        x = other.truncate(h).inv().coeffs
+        y = _multiply(self.coeffs[:h], x, h, m)
+        if h == n:  # n = 1: no correction
+            return Series(self.ring, tuple(y))
+        r = _multiply(other.coeffs[:n], y, n, m)
+        e = Series.of(self.ring, (a - b for a, b in zip(self.coeffs[h:n], r[h:]))).coeffs
+        return Series(self.ring, (*y, *_multiply(x[: n - h], e, n - h, m)))
 
     def __pow__(self, e: int) -> "Series":
         """Left-to-right square-and-multiply from self, never by the unit;

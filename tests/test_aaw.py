@@ -119,6 +119,25 @@ def test_product_identity_costs_three_inverses(monkeypatch):
     assert len(calls) == 3
 
 
+def test_param_identities_build_each_power_once(monkeypatch):
+    # the six relations share their powers of s, t and the linear forms: no
+    # product, squarings inside a power included, is computed twice
+    pair = compute_params(200)
+    products = []
+    mul = Series.__mul__
+
+    def spy(self, other):
+        if isinstance(other, Series):
+            products.append(frozenset((self.coeffs, other.coeffs)))
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", spy)
+    monkeypatch.setattr(Series, "__rmul__", spy)
+    reports = verify_param_identities(pair, 200)
+    assert all(r.passed for r in reports)
+    assert len(products) == len(set(products))
+
+
 def test_params_build_each_theta_series_once(monkeypatch):
     calls = _count_calls(monkeypatch, aaw, "phi")
     compute_params(300)

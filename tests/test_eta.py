@@ -265,7 +265,8 @@ def test_one_inverse_per_expression(monkeypatch, expr, n, ring, inverses):
 
     monkeypatch.setattr(Series, "inv", spy)
     expand_expression(expr, n, ring)
-    assert calls == [n] * inverses
+    # the numerator is divided by D: 1/D is needed to ceil(n/2) terms
+    assert calls == [(n + 1) // 2] * inverses
 
 
 def _reference_expansion(terms, n, ring):

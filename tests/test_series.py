@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from qdissect import series
 from qdissect.eta import expand_eta
@@ -99,6 +100,58 @@ def test_inv_mod_ring_nonunit_rejected():
     ring = mod_ring(9)
     with pytest.raises(ValueError):
         Series.of(ring, [3, 1]).inv()
+
+
+def _unit_first(rng, ring, n, bits):
+    # n coefficients of up to `bits` bits, the first a unit of the ring
+    m = ring.modulus
+    c = [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+    c[0] = rng.choice((1, -1)) if m is None else 0
+    while math.gcd(c[0], m or 1) != 1:
+        c[0] = rng.randrange(m)
+    return Series.of(ring, c)
+
+
+@seed(23)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from((ZZ, mod_ring(9), mod_ring(16), mod_ring(2**61 - 1))),
+    st.integers(1, 300),
+    st.one_of(st.none(), st.integers(1, 300)),
+    st.sampled_from((1, 30, 200)),
+    st.sampled_from((1, 4, 16)),
+    st.randoms(use_true_random=False),
+)
+def test_division_matches_multiplying_by_the_inverse(ring, na, nb, a_bits, b_bits, rng):
+    # equal precisions when nb is None, odd n included; the quotient's
+    # correction step reaches the limb form on wide operands
+    a = Series.of(ring, [rng.randint(-(1 << a_bits), 1 << a_bits) for _ in range(na)])
+    b = _unit_first(rng, ring, na if nb is None else nb, b_bits)
+    got = a / b
+    assert got.ring == ring and got.precision == min(a.precision, b.precision)
+    assert got == a * b.inv()
+
+
+@pytest.mark.parametrize(
+    "ring, c0", [(ZZ, 2), (ZZ, 0), (mod_ring(9), 3), (mod_ring(16), 4)], ids=str
+)
+def test_division_by_a_non_unit_raises_as_inv(ring, c0):
+    a = Series.of(ring, range(1, 8))
+    b = Series.of(ring, [c0, 1, 2, 3, 4, 5, 6])
+    with pytest.raises(ValueError) as inv_error:
+        b.inv()
+    with pytest.raises(ValueError) as div_error:
+        a / b
+    assert str(div_error.value) == str(inv_error.value)
+
+
+def test_division_across_rings_raises_as_mul():
+    a, b = Series.of(ZZ, [1, 2, 3]), Series.of(mod_ring(9), [1, 2, 3])
+    with pytest.raises(ValueError) as mul_error:
+        a * b
+    with pytest.raises(ValueError) as div_error:
+        a / b
+    assert str(div_error.value) == str(mul_error.value)
 
 
 def test_pow_matches_repeated_mul():
@@ -305,6 +358,54 @@ def test_blocked_limb_product_equals_unblocked(monkeypatch):
     monkeypatch.setattr(series, "_LIMB_BUDGET", 1 << 9)
     assert [series._limb_product(x, y, 300) for x, y in ((a, b), (a, a))] == want
     assert unblocked == 2 and len(fft) > unblocked + 20
+
+
+def test_limb_rows_rebuild_with_signed_tops(monkeypatch):
+    # each output row reads back as one two's complement number: rows whose
+    # top limb is negative, zero or of 53 bits and more, the last only
+    # reached by summing many row blocks, so the budget is lowered
+    monkeypatch.setattr(series, "_LIMB_BUDGET", 64)
+    split = []
+    limbs = series._limbs
+    monkeypatch.setattr(
+        series, "_limbs", lambda x, k, w, stride: split.append((w, stride)) or limbs(x, k, w, stride)
+    )
+    n, top, small = 512, (1 << 95) - 1, (1 << 14) - 1
+    tops = []
+    for a, b in (
+        ([-top] * n, [small] * n),
+        ([top] * n, [small] * n),
+        ([top] * n, [small, -small] * (n // 2)),
+        ([-top - 1, 0, top] * (n // 3), [-small, 3, small, 0] * (n // 4)),
+    ):
+        want = _schoolbook(a, b, n)
+        assert series._limb_product(a, b, n) == want
+        w, stride = split[-1]
+        tops += [c >> (8 * w * (stride - 1)) for c in want]
+    assert min(tops) < -(1 << 53) and 0 in tops and max(tops) >= 1 << 53
+
+
+@pytest.mark.parametrize("n", [384, 767, 768, 769, 1023, 1024, 1025, 12287, 12288, 12289])
+def test_products_at_the_fft_length_edges(monkeypatch, n):
+    # a product of n terms runs at 3 * 2^(k-2) points when that holds it and
+    # 2^k >= 1024, else at 2^k (so 384 terms at 512); over Z/m with one limb
+    # per coefficient the FFT sees n itself, over ZZ the limb vectors of
+    # 90-bit coefficients
+    sizes = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, size: sizes.append(size) or rfft(x, size))
+    rng = random.Random(n)
+    m = 1000
+    a = [rng.randrange(m) for _ in range(n - 39)]
+    b = [rng.randrange(m) for _ in range(40)]
+    assert series._multiply(a, b, n, m) == [c % m for c in _schoolbook(a, b, n)]
+    want = {384: 512, 767: 768, 768: 768, 769: 1024, 1023: 1024, 1024: 1024, 1025: 1536}
+    want.update({12287: 12288, 12288: 12288, 12289: 16384})
+    assert sizes == [want[n]] * 2
+    split = _spy(monkeypatch, "_limbs")
+    a, b = _signed(rng, n - 39, 90), _signed(rng, 40, 90)
+    assert series._multiply(a, b, n, None) == _schoolbook(a, b, n)
+    assert len(split) == 2
 
 
 def test_limb_residual_failure_reaches_the_exact_path(monkeypatch):

@@ -102,7 +102,7 @@ def cmd_internal(args: argparse.Namespace) -> int:
 
 def cmd_aaw_check(args: argparse.Namespace) -> int:
     pair = aaw.compute_params(args.precision)
-    reports = list(aaw.verify_param_identities(pair, args.precision))
+    reports = aaw.verify_param_identities(pair, args.precision)
     reports.append(aaw.verify_L_identity(args.precision))
     obstruction = dissect.get_record("l-obstruction-mod16")
     report = dissect.verify_identity(obstruction, args.l_precision)
@@ -147,63 +147,57 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Truncated q-series arithmetic, dissection identities and congruence scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several commands share, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
+    expansion = argparse.ArgumentParser(add_help=False, parents=[as_json])
+    expansion.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    expansion.add_argument("--mod", type=int, default=None, help="expand over Z/m instead of Z")
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(func=func)
         return p
 
     # expand is dissect without trailing steps: one evaluator serves both
-    p = add("expand", cmd_dissect, "expand an eta-quotient expression to coefficients")
+    p = add("expand", cmd_dissect, "expand an eta-quotient expression to coefficients", expansion)
     p.set_defaults(steps=())
     p.add_argument("expression")
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p.add_argument("--mod", type=int, default=None, help="expand over Z/m instead of Z")
-    p.add_argument("--json", action="store_true")
 
-    p = add("dissect", cmd_dissect, "extract arithmetic-progression components")
+    p = add("dissect", cmd_dissect, "extract arithmetic-progression components", expansion)
     p.add_argument("expression", help="DSL expression, or @root with optional inline steps")
     p.add_argument("steps", nargs="*", help="extraction steps m:r applied left to right")
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p.add_argument("--mod", type=int, default=None)
-    p.add_argument("--json", action="store_true")
 
-    p = add("verify", cmd_verify, "verify catalog identities")
+    p = add("verify", cmd_verify, "verify catalog identities", as_json)
     p.add_argument("ids", nargs="*", help="record ids (default: use --all)")
     p.add_argument("--all", action="store_true")
     p.add_argument("--precision", type=int, default=None,
                    help="override the per-record default precision")
-    p.add_argument("--json", action="store_true")
 
-    p = add("scan", cmd_scan, "scan for vanishing arithmetic progressions")
+    p = add("scan", cmd_scan, "scan for vanishing arithmetic progressions", sized)
     p.add_argument("--max-a", dest="max_a", type=int, default=128)
     p.add_argument("--moduli", default="8,16,32", help="comma-separated moduli")
-    p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
     p.add_argument("--min-support", dest="min_support", type=int,
                    default=congruences.MIN_SUPPORT_FLOOR)
 
-    p = add("family", cmd_family, "check the infinite mod-16 progression family")
+    p = add("family", cmd_family, "check the infinite mod-16 progression family", sized, as_json)
     p.add_argument("--alpha-max", dest="alpha_max", type=int, default=4)
-    p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
-    p.add_argument("--json", action="store_true")
 
-    p = add("internal", cmd_internal, "check internal congruences (proved and empirical)")
-    p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
-    p.add_argument("--json", action="store_true")
+    add("internal", cmd_internal, "check internal congruences (proved and empirical)",
+        sized, as_json)
 
-    p = add("aaw-check", cmd_aaw_check, "verify the theta parameterization suite")
+    p = add("aaw-check", cmd_aaw_check, "verify the theta parameterization suite", as_json)
     p.add_argument("--precision", type=int, default=300)
     p.add_argument("--l-precision", dest="l_precision", type=int, default=None,
                    help="depth of the divisibility-by-16 check (default: the record's "
                    f"own, {dissect.DEFAULT_MOD_PRECISION} terms)")
-    p.add_argument("--json", action="store_true")
 
-    p = add("oracle", cmd_oracle, "compare the brute-force count against the table")
+    p = add("oracle", cmd_oracle, "compare the brute-force count against the table", as_json)
     p.add_argument("--limit", type=int, default=20, help="largest n to enumerate (max 40)")
-    p.add_argument("--json", action="store_true")
 
-    p = add("dump-table", cmd_dump_table, "print the count table")
-    p.add_argument("--table-size", dest="table_size", type=int, default=DEFAULT_TABLE_SIZE)
+    p = add("dump-table", cmd_dump_table, "print the count table", sized)
     p.add_argument("--mod", type=int, default=None, help="dump residues instead of exact values")
     p.add_argument("--count", type=int, default=None, help="print only the first K values")
     p.add_argument("--cache", default=None, help="exact-table cache file, read or written")

@@ -232,16 +232,12 @@ def verify_family(alpha_max: int, table: Series) -> list[FamilyCheck]:
     """check_triple each family member the table can reach."""
     if alpha_max < 0:
         raise ValueError("alpha_max must be nonnegative")
-    precision = table.precision
     out = []
     for alpha in range(alpha_max + 1):
         spec = FamilySpec(alpha)
-        if spec.B >= precision:
-            out.append(FamilyCheck(alpha, spec.A, spec.B, False, None))
-        else:
-            out.append(
-                FamilyCheck(alpha, spec.A, spec.B, True, check_triple(spec.triple(), table))
-            )
+        testable = spec.B < table.precision
+        result = check_triple(spec.triple(), table) if testable else None
+        out.append(FamilyCheck(alpha, spec.A, spec.B, testable, result))
     return out
 
 

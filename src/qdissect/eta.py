@@ -207,14 +207,10 @@ class _Parser:
         d = den.terms[0]
         if d.coeff not in (1, -1):
             self.error("divisor coefficient must be 1 or -1", at)
-        inv_q = d.quotient ** -1
-        out = []
-        for t in num.terms:
-            qpow = t.qpow - d.qpow
-            if qpow < 0:
-                self.error("division would need a negative q-power", at)
-            out.append(EtaTerm(t.coeff * d.coeff, qpow, t.quotient * inv_q))
-        return EtaExpression.from_terms(out)
+        out = num * EtaExpression((EtaTerm(d.coeff, -d.qpow, d.quotient ** -1),))
+        if any(t.qpow < 0 for t in out.terms):
+            self.error("division would need a negative q-power", at)
+        return out
 
     def factor(self) -> EtaExpression:
         self.skip_ws()
@@ -328,8 +324,8 @@ def expand_pochhammer(factor: PochhammerFactor, precision: int, ring: RingSpec =
 
 def expand_quotient(quotient: EtaQuotient, precision: int, ring: RingSpec = ZZ) -> Series:
     """Expand prod_r f_r^{e_r}, the expression of one term: f_r with
-    r >= precision is 1 to that precision and is skipped, and the
-    denominator, if any, is inverted once."""
+    r >= precision is 1 to that precision and is skipped, and a denominator
+    is inverted once, to ceil(precision/2) terms if there is a numerator."""
     return expand_expression(EtaExpression((EtaTerm(1, 0, quotient),)), precision, ring)
 
 

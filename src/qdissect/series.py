@@ -232,6 +232,19 @@ def _schoolbook(a, b, n_out: int) -> list[int]:
     return out
 
 
+def _lift(a, b, x, n: int, m: int | None) -> tuple[int, ...]:
+    """a / b to n <= 2h terms from x = 1/b to h terms (a = None is 1): y =
+    a * x to h terms and a - b * y = q^h e, so a / b = y + q^h x e: Newton's
+    step for 1/b, or Karp and Markstein's for a/b (ACM TOMS 23(4), 1997)."""
+    h = len(x)
+    y = x if a is None else tuple(_multiply(a[:h], x, h, m))
+    if n == h:
+        return y
+    r = _multiply(b[:n], y, n, m)[h:]
+    e = [-c for c in r] if a is None else [c - d for c, d in zip(a[h:n], r)]
+    return (*y, *_multiply(x[: n - h], e, n - h, m))
+
+
 @dataclass(frozen=True)
 class Series:
     ring: RingSpec
@@ -307,41 +320,26 @@ class Series:
         if self.ring.exact:
             if c0 not in (1, -1):
                 raise ValueError(f"constant term {c0} is not a unit over ZZ")
-            x0 = c0
+            x = (c0,)
         else:
             try:
-                x0 = pow(c0, -1, self.ring.modulus)
+                x = (pow(c0, -1, self.ring.modulus),)
             except ValueError:
                 raise ValueError(
                     f"constant term {c0} is not a unit mod {self.ring.modulus}"
                 ) from None
         n, m = self.precision, self.ring.modulus
-        x = (x0,)
         while len(x) < n:
-            h, p = len(x), min(2 * len(x), n)
-            # self * x = 1 + q^h e to p terms, so 1/self = x - q^h x e: the
-            # correction needs only p - h terms of each factor
-            e = _multiply(self.coeffs[:p], x, p, m)[h:]
-            x += Series.of(self.ring, (-c for c in _multiply(x[: p - h], e, p - h, m))).coeffs
+            x = _lift(None, self.coeffs, x, min(2 * len(x), n), m)
         return Series(self.ring, x)
 
     def __truediv__(self, other: "Series") -> "Series":
-        """self / other to the shorter precision n, without a full-length
-        inverse: x = 1/other to h = ceil(n/2) terms and y = self * x to h
-        terms; then self - other * y = q^h e, and self / other = y + q^h x e
-        to n terms (A. H. Karp and P. Markstein, "High-precision division
-        and square root", ACM TOMS 23(4), 1997). Exact over ZZ and Z/m when
-        other's constant term is a unit; `inv` raises when it is not."""
+        """self / other to the shorter precision n by one `_lift` from 1/other
+        to ceil(n/2) terms; `inv` raises when other's constant term is not a unit."""
         self._check(other)
-        n, m = min(self.precision, other.precision), self.ring.modulus
-        h = (n + 1) // 2
-        x = other.truncate(h).inv().coeffs
-        y = _multiply(self.coeffs[:h], x, h, m)
-        if h == n:  # n = 1: no correction
-            return Series(self.ring, tuple(y))
-        r = _multiply(other.coeffs[:n], y, n, m)
-        e = Series.of(self.ring, (a - b for a, b in zip(self.coeffs[h:n], r[h:]))).coeffs
-        return Series(self.ring, (*y, *_multiply(x[: n - h], e, n - h, m)))
+        n = min(self.precision, other.precision)
+        x = other.truncate((n + 1) // 2).inv().coeffs
+        return Series(self.ring, _lift(self.coeffs, other.coeffs, x, n, self.ring.modulus))
 
     def __pow__(self, e: int) -> "Series":
         """Left-to-right square-and-multiply from self, never by the unit;

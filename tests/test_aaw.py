@@ -138,6 +138,14 @@ def test_param_identities_build_each_power_once(monkeypatch):
     assert len(products) == len(set(products))
 
 
+def test_param_identities_expand_f1_once(monkeypatch):
+    # the six left sides f_r^24 are one f1^24 spread by q -> q^r
+    pair = compute_params(200)
+    calls = _count_calls(monkeypatch, eta, "expand_eta")
+    assert all(r.passed for r in verify_param_identities(pair, 200))
+    assert len(calls) == 1
+
+
 def test_params_build_each_theta_series_once(monkeypatch):
     calls = _count_calls(monkeypatch, aaw, "phi")
     compute_params(300)

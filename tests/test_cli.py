@@ -446,3 +446,21 @@ def test_usage_error_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+_SHARED_FLAGS = {
+    "--json": ("expand", "dissect", "verify", "family", "internal", "aaw-check", "oracle"),
+    "--table-size": ("scan", "family", "internal", "dump-table"),
+    "--precision": ("expand", "dissect", "verify", "aaw-check"),
+    "--mod": ("expand", "dissect", "dump-table"),
+}
+_COMMANDS = ("expand", "dissect", "verify", "scan", "family", "internal", "aaw-check",
+             "oracle", "dump-table")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_subcommand_help_lists_its_shared_flags(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    for flag, owners in _SHARED_FLAGS.items():
+        assert (flag in out.split()) == (command in owners), flag

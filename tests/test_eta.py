@@ -106,6 +106,26 @@ def test_parse_error_carries_offset():
     assert info.value.offset == 6
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("f1/(f2+f3)", "divisor must reduce to a single term", 3),
+        ("f1/(2*f2)", "divisor coefficient must be 1 or -1", 3),
+        ("f1/q", "division would need a negative q-power", 3),
+        ("(1+q^3)/q^2", "division would need a negative q-power", 8),
+    ],
+)
+def test_parse_division_errors(text, message, offset):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} at offset {offset}"
+    assert info.value.offset == offset
+
+
+def test_parse_division_cancels_q_powers():
+    assert parse("q^3*f1/(q*f2)") == parse("q^2*f1/f2")
+
+
 def test_parse_nesting_bound():
     depth = eta.MAX_NESTING
     assert parse("(" * depth + "f1" + ")" * depth) == parse("f1")

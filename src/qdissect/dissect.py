@@ -12,7 +12,7 @@ up front and never truncated silently.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -20,18 +20,35 @@ from . import eta, schur
 from .series import Series, RingSpec, ZZ, mod_ring
 
 
-def extract(a: Series, m: int, r: int) -> Series:
-    """The series of coefficients a[m*n + r] (one dissection component)."""
+def _check_step(m: int, r: int) -> None:
     if m < 2:
         raise ValueError("extraction modulus must be at least 2")
     if not 0 <= r < m:
         raise ValueError(f"extraction residue must lie in [0, {m})")
+
+
+def extract(a: Series, m: int, r: int) -> Series:
+    """The series of coefficients a[m*n + r] (one dissection component)."""
+    _check_step(m, r)
     picked = a.coeffs[r::m]
     if not picked:
         raise ValueError(
             f"precision {a.precision} too small to extract residue {r} mod {m}"
         )
     return Series(a.ring, picked)
+
+
+def _progression(steps) -> tuple[int, int]:
+    """(start, stride) of the one progression that `steps`, applied left to
+    right by `extract`, pick from a series: (m1, r1) then (m2, r2) keeps
+    a[m1*(m2*n + r2) + r1], so start = r1 + m1*r2 + m1*m2*r3 + ... and
+    stride = m1*m2*..."""
+    start, stride = 0, 1
+    for m, r in steps:
+        _check_step(m, r)
+        start += stride * r
+        stride *= m
+    return start, stride
 
 
 @dataclass(frozen=True)
@@ -90,8 +107,11 @@ class VerificationReport:
         )
 
     def as_json(self) -> str:
-        """The report's fields, the mismatch's included, as JSON."""
-        return json.dumps(asdict(self))
+        """The report's fields in order, the mismatch's nested as a plain
+        dict, as JSON; built from the fields directly, since
+        `dataclasses.asdict` deep-copies them."""
+        mm = self.mismatch
+        return json.dumps({**vars(self), "mismatch": None if mm is None else vars(mm)})
 
 
 def compare_series(a: Series, b: Series) -> Mismatch | None:
@@ -103,22 +123,30 @@ def compare_series(a: Series, b: Series) -> Mismatch | None:
 
 
 def root_series(name: str, ring: RingSpec, precision: int) -> Series:
-    """The named root series to `precision` terms over `ring`.
+    """The named root series to `precision` terms over `ring`, as a Series
+    of Python ints.
 
-    "S" is the overpartition count series, `schur.s_series` or
-    `schur.residue_table`. `schur` keeps the exact table and the mod-256
-    table, which serves every divisor of 256, so for those requests in
-    any order build no term twice; any other modulus is built fresh on
-    each request. "negq" is the alternating-sign Euler product, a sign
-    flip of the f1 expansion.
+    "S" is the overpartition count series, read from `schur`'s count
+    tables, whose arrays become the Series tuple in one step: `schur`
+    keeps the exact table and the mod-256 table, which serves every
+    divisor of 256, so for those requests in any order builds no term
+    twice; any other modulus is built fresh on each request. "negq" is
+    the alternating-sign Euler product, a sign flip of the f1 expansion.
     """
+    return _root_terms(name, ring, precision, 0, 1)
+
+
+def _root_terms(name: str, ring: RingSpec, stop: int, start: int, stride: int) -> Series:
+    # the root's terms start, start + stride, ... below `stop`; for "S" the
+    # progression is sliced from the count table's array, so the Series
+    # tuple holds only the terms picked
     if name == "S":
-        if ring.exact:
-            return schur.s_series(precision)
-        return schur.residue_table(precision, ring.modulus)
+        if stop < 1:
+            raise ValueError("precision must be at least 1")
+        return Series(ring, schur._table_terms(stop, ring.modulus, start, stride))
     if name == "negq":
-        f1 = eta.expand_eta(1, precision, ring)
-        return Series.of(ring, (-c if i % 2 else c for i, c in enumerate(f1.coeffs)))
+        f1 = eta.expand_eta(1, stop, ring).coeffs
+        return Series.of(ring, (-f1[i] if i % 2 else f1[i] for i in range(start, stop, stride)))
     raise ValueError(f"unknown root series {name!r}")
 
 
@@ -126,20 +154,23 @@ def lhs_series(lhs, ring: RingSpec, precision: int, steps=()) -> Series:
     """A left side with `steps` applied, to `precision` terms over `ring`.
 
     `lhs` is an eta expression or a RootRecipe, whose own steps run
-    before `steps`. The expression or root is expanded to
-    `required_root_precision`, so the last extraction still carries
-    `precision` terms.
+    before `steps`. The steps pick one progression start + stride*n of
+    the expression or root, which is expanded to
+    `required_root_precision` = start + stride*precision terms, so the
+    progression carries `precision` terms. A root's progression is sliced
+    from its count table before any Python int is built; the returned
+    Series is the one tuple made.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
     if isinstance(lhs, RootRecipe):
         steps = lhs.steps + tuple(steps)
-        series = root_series(lhs.root, ring, required_root_precision(steps, precision))
-    else:
-        series = eta.expand_expression(lhs, required_root_precision(steps, precision), ring)
-    for m, r in steps:
-        series = extract(series, m, r)
-    return series.truncate(precision)
+    start, stride = _progression(steps)
+    stop = start + stride * precision
+    if isinstance(lhs, RootRecipe):
+        return _root_terms(lhs.root, ring, stop, start, stride)
+    series = eta.expand_expression(lhs, stop, ring)
+    return Series(ring, series.coeffs[start::stride])
 
 
 def parse_steps(texts) -> tuple[tuple[int, int], ...]:

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .series import Series, RingSpec, ZZ
+import numpy as np
+
+from .series import Series, RingSpec, ZZ, _ints, _multiply, _power
 
 MAX_EXPONENT = 10**6
 # deepest parenthesis nesting the parser accepts; each level costs three
@@ -334,16 +336,23 @@ def _numerator(
 ) -> tuple[Series, Series | None]:
     """The expression over its common denominator, to `precision` terms.
 
-    Returns (N, D). The terms below q^precision share the denominator
-    D = prod f_r^{d_r}, d_r the largest denominator exponent of f_r among
-    them; D is None when no term has one. N is their sum times D: each
-    term times D is a pure product, so N costs no inverse. f_r^e is f_1^e
-    on ceil(n/r) terms with q -> q^r, and each f_1^e is built once, at
-    the longest length any product reads: truncated products agree on
-    their common prefix, so every shorter use is a truncation of it.
+    Returns (N, D) as two Series, each built once from an array. The terms
+    below q^precision share the denominator D = prod f_r^{d_r}, d_r the
+    largest denominator exponent of f_r among them; D is None when no term
+    has one. N is their sum times D: each term times D is a pure product,
+    so N costs no inverse. f_r^e is f_1^e on ceil(n/r) terms with q -> q^r,
+    and each f_1^e is built once, at the longest length any product reads:
+    truncated products agree on their common prefix, so every shorter use
+    is a truncation of it.
+
+    Every vector in between is an array: int64 over Z/m with m < 2^31,
+    which holds (c mod m) * P plus a running sum kept in [0, m), else
+    Python ints in an object array.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
+    m = ring.modulus
+    dtype = np.int64 if m is not None and m < 1 << 31 else object
     live = [t for t in expr.terms if t.qpow < precision]
     d: dict[int, int] = {}
     for t in live:
@@ -359,22 +368,29 @@ def _numerator(
         for r, e in q.factors:
             if r < n:
                 length[e] = max(length.get(e, 0), -(-n // r))
-    f1 = expand_eta(1, max(length.values(), default=1), ring)
-    powers = {e: f1.truncate(k) ** e for e, k in length.items()}
+    f1 = np.asarray(expand_eta(1, max(length.values(), default=1), ring).coeffs, dtype)
+    powers = {e: np.asarray(_power(f1[:k], e, m), dtype) for e, k in length.items()}
 
-    def product(q: EtaQuotient, n: int) -> Series:
+    def product(q: EtaQuotient, n: int) -> np.ndarray:
         out = None
         for r, e in q.factors:
             if r < n:
-                piece = powers[e].scale_q(r, n)
-                out = piece if out is None else out * piece
-        return Series.one(ring, n) if out is None else out
+                piece = np.zeros(n, dtype)
+                piece[::r] = powers[e][: -(-n // r)]
+                out = piece if out is None else np.asarray(_multiply(out, piece, n, m), dtype)
+        if out is None:
+            out = np.zeros(n, dtype)
+            out[0] = 1
+        return out
 
-    total = [0] * precision
+    total = np.zeros(precision, dtype)
     for t, (q, n) in zip(live, jobs):
-        for i, c in enumerate(product(q, n).coeffs, t.qpow):
-            total[i] += t.coeff * c
-    return Series.of(ring, total), (product(den, precision) if den.factors else None)
+        part = total[t.qpow :]
+        part += (t.coeff if m is None else t.coeff % m) * product(q, n)
+        if m is not None:
+            np.remainder(part, m, out=part)
+    num = Series(ring, _ints(total))
+    return num, (Series(ring, _ints(product(den, precision))) if den.factors else None)
 
 
 def expand_expression(expr: EtaExpression, precision: int, ring: RingSpec = ZZ) -> Series:

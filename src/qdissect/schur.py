@@ -122,6 +122,24 @@ def _root_table(n: int, m: int | None) -> np.ndarray:
     return v[:n]
 
 
+def _table_terms(n: int, m: int | None, start: int = 0, stride: int = 1) -> tuple[int, ...]:
+    """S(k) for k = start, start + stride, ... below n, mod m unless m is
+    None, as Python ints: the progression is sliced from the table's array
+    before any int is built. A divisor of 256 is read from the mod-256
+    table, the exact values from the exact table; any other modulus is
+    built fresh."""
+    if m is None:
+        vals = _root_table(n, None)[start::stride]
+    elif 256 % m == 0:
+        vals = _root_table(n, 256)[start::stride]
+        if m < 256:  # np.uint8 cannot hold 256
+            vals = vals % np.uint8(m)
+    else:
+        vals = _theta_table(n, m)[start::stride]
+    # a uint8 table reads as Python ints from its bytes, without a list copy
+    return tuple(vals.tobytes() if vals.dtype == np.uint8 else vals.tolist())
+
+
 def s_series(precision: int, cache_path: str | None = None) -> Series:
     """Exact S(0..precision-1). Given a cache file, reads its prefix first
     and rebuilds and rewrites it only when it is shorter than `precision`."""
@@ -131,7 +149,7 @@ def s_series(precision: int, cache_path: str | None = None) -> Series:
         cached = load_table(cache_path, precision)
         if cached.precision == precision:
             return cached
-    table = Series(ZZ, tuple(_root_table(precision, None).tolist()))
+    table = Series(ZZ, _table_terms(precision, None))
     if cache_path:
         save_table(cache_path, table)
     return table
@@ -139,19 +157,14 @@ def s_series(precision: int, cache_path: str | None = None) -> Series:
 
 def residue_table(precision: int, m: int) -> Series:
     """S(n) mod m for n < precision, by the same builder over Z/m; a
-    divisor of 256 is served from the mod-256 table."""
+    divisor of 256 is served from the mod-256 table. The one tuple of
+    Python ints is built from the table's array by `_table_terms`, which
+    also gives a root recipe's progression without the whole table."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    if 256 % m == 0:
-        vals = _root_table(precision, 256)
-        if m < 256:  # np.uint8 cannot hold 256
-            vals = vals % np.uint8(m)
-    else:
-        vals = _theta_table(precision, m)
-    # a uint8 table reads as Python ints from its bytes, without a list copy
-    return Series(mod_ring(m), tuple(vals.tobytes() if vals.dtype == np.uint8 else vals.tolist()))
+    return Series(mod_ring(m), _table_terms(precision, m))
 
 
 def save_table(path: str, table: Series) -> None:

@@ -202,13 +202,18 @@ def _limb_product(a, b, n_out: int) -> np.ndarray | list[int] | None:
     ]
 
 
-def _multiply(a, b, n_out: int, m: int | None) -> list[int]:
+def _multiply(a, b, n_out: int, m: int | None) -> np.ndarray | list[int]:
     """The one product of coefficient vectors (sequences of ints or integer
     arrays): exact over ZZ (m is None), reduced into [0, m) over Z/m.
 
     Products whose shorter operand has at least _FFT_MIN_LEN terms run on
     the checked float FFT in limb form, an unreduced Z/m operand on wider
     limbs; short products and any the FFT refuses take the exact path.
+
+    Over Z/m with m < _FFT_MAX a product on one limb per coefficient comes
+    back as the reduced int64 array the FFT gave, which the next product
+    takes as it is; every other product comes back as a list of Python
+    ints. `_ints` turns either into the tuple a `Series` holds.
     """
     out = _limb_product(a, b, n_out) if min(len(a), len(b)) >= _FFT_MIN_LEN else None
     if out is None:
@@ -216,9 +221,28 @@ def _multiply(a, b, n_out: int, m: int | None) -> list[int]:
         out = _convolve(a, b, n_out)
     elif isinstance(out, np.ndarray):  # one limb each: |out| < _FFT_MAX
         if m is not None and m < _FFT_MAX:
-            return np.remainder(out, m, out=out).tolist()
+            return np.remainder(out, m, out=out)
         out = out.tolist()
     return out if m is None else [c % m for c in out]
+
+
+def _ints(x) -> tuple[int, ...]:
+    # the Series boundary: coefficients as a tuple of Python ints, never
+    # numpy integers, which wrap silently and which json cannot encode
+    return tuple(x.tolist() if isinstance(x, np.ndarray) else x)
+
+
+def _power(x, e: int, m: int | None):
+    """x ** e to len(x) terms for e >= 1, by left-to-right square-and-multiply
+    from x itself (never from the unit), as `_multiply` returns it; x when
+    e == 1."""
+    n = len(x)
+    out = x
+    for bit in bin(e)[3:]:
+        out = _multiply(out, out, n, m)
+        if bit == "1":
+            out = _multiply(out, x, n, m)
+    return out
 
 
 def _schoolbook(a, b, n_out: int) -> list[int]:
@@ -235,14 +259,15 @@ def _schoolbook(a, b, n_out: int) -> list[int]:
 def _lift(a, b, x, n: int, m: int | None) -> tuple[int, ...]:
     """a / b to n <= 2h terms from x = 1/b to h terms (a = None is 1): y =
     a * x to h terms and a - b * y = q^h e, so a / b = y + q^h x e: Newton's
-    step for 1/b, or Karp and Markstein's for a/b (ACM TOMS 23(4), 1997)."""
+    step for 1/b, or Karp and Markstein's for a/b (ACM TOMS 23(4), 1997).
+    Returns Python ints: each product passes through `_ints`."""
     h = len(x)
-    y = x if a is None else tuple(_multiply(a[:h], x, h, m))
+    y = x if a is None else _ints(_multiply(a[:h], x, h, m))
     if n == h:
         return y
-    r = _multiply(b[:n], y, n, m)[h:]
+    r = _ints(_multiply(b[:n], y, n, m)[h:])
     e = [-c for c in r] if a is None else [c - d for c, d in zip(a[h:n], r)]
-    return (*y, *_multiply(x[: n - h], e, n - h, m))
+    return (*y, *_ints(_multiply(x[: n - h], e, n - h, m)))
 
 
 @dataclass(frozen=True)
@@ -310,7 +335,7 @@ class Series:
         self._check(other)
         n = min(self.precision, other.precision)
         m = self.ring.modulus
-        return Series(self.ring, tuple(_multiply(self.coeffs[:n], other.coeffs[:n], n, m)))
+        return Series(self.ring, _ints(_multiply(self.coeffs[:n], other.coeffs[:n], n, m)))
 
     __rmul__ = __mul__
 
@@ -350,12 +375,7 @@ class Series:
             return self.inv() ** (-e)
         if e == 0:
             return Series.one(self.ring, self.precision)
-        result = self
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return Series(self.ring, _ints(_power(self.coeffs, e, self.ring.modulus)))
 
     def scale_q(self, m: int, precision: int | None = None) -> "Series":
         """Substitute q -> q^m, to `precision` coefficients (precision * m

@@ -110,6 +110,33 @@ def test_dissect_bad_step_exits_2(capsys):
     assert "m:r" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["@S", "2-1"], "extraction step '2-1' is not of the form m:r"),
+        (["@S 2:1", "3:5"], "extraction step '3:5' needs m >= 2 and 0 <= r < m"),
+        (["@S 1:0"], "extraction step '1:0' needs m >= 2 and 0 <= r < m"),
+        (["@T", "2:1"], "unknown root series 'T'"),
+        (["@T"], "unknown root series 'T'"),
+    ],
+    ids=["not-m:r", "residue", "modulus", "root-with-step", "root"],
+)
+def test_dissect_bad_step_or_root_exits_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, "dissect", *argv, "--precision", "8")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_expand_mod_json_prints_python_ints(capsys):
+    # json.dumps refuses numpy integers: the products' int64 arrays become
+    # Python ints before a Series holds them
+    code, out, _ = run(capsys, "expand", "f2^3/f1", "--mod", "16", "--json")
+    assert code == 0
+    got = json.loads(out)
+    code, out, _ = run(capsys, "expand", "f2^3/f1", "--json")
+    assert code == 0
+    assert got == [c % 16 for c in json.loads(out)]
+
+
 def test_verify_named_records(capsys):
     code, out, _ = run(capsys, "verify", "f1f3-2diss", "s-2diss-0", "--precision", "60")
     assert code == 0

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdissect import dissect, eta, schur
 from qdissect.dissect import (
@@ -14,7 +15,7 @@ from qdissect.dissect import (
     verify_dissection_theorem,
     verify_identity,
 )
-from qdissect.series import Series, ZZ
+from qdissect.series import Series, ZZ, mod_ring
 
 
 def test_extract_slices_progression():
@@ -163,6 +164,43 @@ def test_lhs_series_runs_recipe_steps_first():
     assert inline == chained
     table = schur.s_series(4 * 8 + 3)
     assert inline.coeffs == table.coeffs[3::4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((None, 16, 9)),
+    st.sampled_from(("S", "negq")),
+    st.lists(
+        st.integers(2, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(1, 12),
+)
+def test_root_progression_matches_stepwise_extraction(m, root, steps, n):
+    # the steps' one progression, sliced from the root's array, is extract
+    # applied one step at a time to the whole root: the exact table, mod 16
+    # (served from the mod-256 table) and mod 9 (a fresh table)
+    ring = ZZ if m is None else mod_ring(m)
+    need = required_root_precision(steps, n)
+    if root == "negq":
+        want = dissect.root_series(root, ring, need)
+    else:
+        want = schur.s_series(need) if m is None else schur.residue_table(need, m)
+    for step in steps:
+        want = extract(want, *step)
+    assert dissect.lhs_series(RootRecipe(root, tuple(steps)), ring, n) == want
+
+
+@pytest.mark.parametrize("step", [(1, 0), (3, 3), (2, -1)])
+def test_lhs_series_refuses_a_bad_step_as_extract(step):
+    f = Series.of(ZZ, range(10))
+    with pytest.raises(ValueError) as extract_error:
+        extract(f, *step)
+    for lhs in (RootRecipe("S", (step,)), eta.parse("f1")):
+        with pytest.raises(ValueError) as lhs_error:
+            dissect.lhs_series(lhs, ZZ, 5, () if isinstance(lhs, RootRecipe) else (step,))
+        assert str(lhs_error.value) == str(extract_error.value)
 
 
 def test_parse_steps_validation():

@@ -202,19 +202,26 @@ def test_generating_function_three_ways():
 
 
 def _is_unit(x):
-    return isinstance(x, Series) and x.coeffs[0] == 1 and not any(x.coeffs[1:])
+    x = list(x)
+    return x[0] == 1 and not any(x[1:])
 
 
 def test_expansion_never_multiplies_by_the_unit(monkeypatch):
-    calls = []
-    mul = Series.__mul__
+    # every product an expansion makes is one of two pieces of a term or
+    # inside a power of f1, and neither starts from the unit
+    operands = []
+    multiply, power = eta._multiply, eta._power
 
-    def spy(self, other):
-        calls.append((self, other))
-        return mul(self, other)
+    def multiply_spy(a, b, n, m):
+        operands.extend((a, b))
+        return multiply(a, b, n, m)
 
-    monkeypatch.setattr(Series, "__mul__", spy)
-    monkeypatch.setattr(Series, "__rmul__", spy)
+    def power_spy(x, e, m):
+        operands.append(x)
+        return power(x, e, m)
+
+    monkeypatch.setattr(eta, "_multiply", multiply_spy)
+    monkeypatch.setattr(eta, "_power", power_spy)
     n = 40
     for rec in dissect.load_catalog():
         ring = ZZ if rec.exact else mod_ring(rec.modulus)
@@ -224,8 +231,8 @@ def test_expansion_never_multiplies_by_the_unit(monkeypatch):
     shapes = (EtaQuotient(), EtaQuotient.of({1: -3}), EtaQuotient.of({2: 5}))
     rings = (ZZ, mod_ring(16))
     got = {(q, ring): expand_quotient(q, n, ring) for q in shapes for ring in rings}
-    assert calls
-    assert not [c for c in calls if _is_unit(c[0]) or _is_unit(c[1])]
+    assert operands
+    assert not [x for x in operands if _is_unit(x)]
 
     for ring in rings:
         f1 = expand_eta(1, n, ring)
@@ -333,21 +340,31 @@ def test_common_denominator_matches_term_by_term(terms, n, m):
     assert expand_expression(expr, n, ring) == _reference_expansion(terms, n, ring)
 
 
+@pytest.mark.parametrize("m", [2**31 - 1, 2**31], ids=["int64-sum", "object-sum"])
+def test_numerator_sum_at_the_int64_edge(m):
+    # below 2^31 each term's (c mod m) * P reaches 2^62, so int64 holds the
+    # sum of the numerator's six terms only if it stays reduced; from 2^31
+    # on the sum runs on Python ints
+    expr = parse(" + ".join(f"{m - 1 - k}*q^{k}*f1^{k + 3}/f2" for k in range(6)))
+    want = expand_expression(expr, 300, ZZ).reduce_mod(m)
+    assert expand_expression(expr, 300, mod_ring(m)) == want
+
+
 def test_each_f1_power_built_once(monkeypatch):
     # L over f1^6 f4^4 f6 f12^2: its four numerators and D read the powers
     # 1, 2, 4, 5, 6, 8, 9, 10 of f1, each built once, from one f1
     powers, etas = [], []
-    power, expand = Series.__pow__, eta.expand_eta
+    power, expand = eta._power, eta.expand_eta
 
-    def pow_spy(self, e):
+    def pow_spy(x, e, m):
         powers.append(e)
-        return power(self, e)
+        return power(x, e, m)
 
     def eta_spy(r, n, ring=ZZ):
         etas.append(r)
         return expand(r, n, ring)
 
-    monkeypatch.setattr(Series, "__pow__", pow_spy)
+    monkeypatch.setattr(eta, "_power", pow_spy)
     monkeypatch.setattr(eta, "expand_eta", eta_spy)
     expand_expression(L_LHS, 3000, ZZ)
     assert sorted(powers) == [1, 2, 4, 5, 6, 8, 9, 10]

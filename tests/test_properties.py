@@ -10,8 +10,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from qdissect import schur, series
+from qdissect import dissect, schur, series
 from qdissect.dissect import extract
+from qdissect.eta import expand_expression, parse
 from qdissect.series import Series, ZZ, mod_ring, _schoolbook
 
 MAX_PRECISION = 64
@@ -149,3 +150,50 @@ def test_count_sequence_is_monotone(n):
     table = schur.s_series(MAX_PRECISION)
     assert table[n] <= table[n + 1]
     assert table[0] == 1
+
+
+# the one-limb int64 path (m < 2^50), the limb path (2^61 - 1) and a
+# modulus past int64 (2^64 + 13), over which no count table exists
+LEAK_RINGS = (ZZ, mod_ring(2), mod_ring(16), mod_ring(9), mod_ring(2**61 - 1), mod_ring(2**64 + 13))
+LEAK_EXPRESSIONS = ("f2*f3/(f1*f6^2)", "f1^3*f2^2 - 3*q*f4^5/f2 + 2*q^2*f1", "f1^12 + 7*q*f3")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from(LEAK_RINGS),
+    st.integers(min_value=1, max_value=MAX_PRECISION),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from((4, 20, 70)),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from(LEAK_EXPRESSIONS),
+    st.lists(
+        st.integers(2, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))),
+        max_size=2,
+    ),
+)
+def test_no_numpy_integer_leaks_out(ring, n, seed, bits, e, text, steps):
+    # every coefficient that leaves the library is a Python int: numpy
+    # integers wrap silently and json.dumps refuses them. A drawn seed
+    # fills the operands, which take the int64 FFT from _FFT_MIN_LEN terms
+    rng = random.Random(seed)
+    m = ring.modulus
+    pick = lambda k: [rng.randint(-(1 << bits), 1 << bits) for _ in range(k)]
+    a = Series.of(ring, pick(n))
+    b = Series.of(ring, [1] + pick(n - 1))
+    expr = parse(text)
+    root = "negq" if m is not None and m >= 1 << 62 else "S"
+    results = [
+        a * b,
+        a ** e,
+        b.inv(),
+        a / b,
+        expand_expression(expr, n, ring),
+        dissect.lhs_series(expr, ring, n, tuple(steps)),
+        dissect.lhs_series(dissect.RootRecipe(root, tuple(steps)), ring, n),
+    ]
+    if m is None:
+        results.append(schur.s_series(n))
+    elif m < 1 << 62:
+        results.append(schur.residue_table(n, m))
+    for s in results:
+        assert all(type(c) is int for c in s.coeffs), s

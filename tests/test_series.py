@@ -154,12 +154,16 @@ def test_division_across_rings_raises_as_mul():
     assert str(div_error.value) == str(mul_error.value)
 
 
-def test_pow_matches_repeated_mul():
+def test_pow_matches_repeated_mul(monkeypatch):
+    calls = _spy(monkeypatch, "_multiply")
     for ring in (ZZ, mod_ring(16)):
         f = Series.of(ring, [1, 1, 2, 0, 1, -3, 5])
         power = Series.one(ring, f.precision)
         for e in range(34):
+            calls.clear()
             assert (f ** e).coeffs == power.coeffs, (ring, e)
+            # square-and-multiply from f itself, never from the unit
+            assert len(calls) == max(0, e.bit_length() + bin(e).count("1") - 2)
             power = power * f
 
 
@@ -398,7 +402,7 @@ def test_products_at_the_fft_length_edges(monkeypatch, n):
     m = 1000
     a = [rng.randrange(m) for _ in range(n - 39)]
     b = [rng.randrange(m) for _ in range(40)]
-    assert series._multiply(a, b, n, m) == [c % m for c in _schoolbook(a, b, n)]
+    assert list(series._multiply(a, b, n, m)) == [c % m for c in _schoolbook(a, b, n)]
     want = {384: 512, 767: 768, 768: 768, 769: 1024, 1023: 1024, 1024: 1024, 1025: 1536}
     want.update({12287: 12288, 12288: 12288, 12289: 16384})
     assert sizes == [want[n]] * 2
